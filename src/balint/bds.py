@@ -19,7 +19,9 @@ from .model import (
     ColoredIntervalInstance,
     GuardError,
     SolutionSet,
-    solution_from_ids,
+    build_sorted_view,
+    neighborhood_masks,
+    verified_solution,
     verify_solution,
 )
 
@@ -40,14 +42,7 @@ class DominationIndex:
 
     @staticmethod
     def from_instance(inst: ColoredIntervalInstance) -> "DominationIndex":
-        masks = [1 << iv.id for iv in inst.intervals]
-        ordered = sorted(inst.intervals, key=lambda iv: (iv.left, iv.right, iv.id))
-        for pos, a in enumerate(ordered):
-            for b in ordered[pos + 1 :]:
-                if b.left > a.right:
-                    break
-                masks[a.id] |= 1 << b.id
-                masks[b.id] |= 1 << a.id
+        masks = neighborhood_masks(inst, build_sorted_view(inst))
         return DominationIndex(
             closed_masks=tuple(masks), full_mask=(1 << inst.n) - 1
         )
@@ -111,10 +106,7 @@ def solve_fbds_brute(
         stats["feasible"] = found is not None
     if found is None:
         return None
-    sol = solution_from_ids(inst, "BDS", found)
-    verdict = verify_solution(inst, sol, f)
-    assert verdict.valid, verdict.reason
-    return sol
+    return verified_solution(inst, "BDS", found, f)
 
 
 def canonicalize_bds(
@@ -152,7 +144,4 @@ def canonicalize_bds(
             raise ValueError(
                 f"metadata inconsistent with solution: variable x{var} has no hub vertex"
             )
-    out = solution_from_ids(inst, "BDS", ids)
-    verdict = verify_solution(inst, out, 1)
-    assert verdict.valid, verdict.reason
-    return out
+    return verified_solution(inst, "BDS", ids, 1)

@@ -24,6 +24,7 @@ from .mcis import LocalSearchConfig, greedy_mcis, local_search_mcis
 from .model import (
     FormatError,
     GuardError,
+    VerificationError,
     parse_assignment,
     parse_instance,
     parse_solution,
@@ -458,7 +459,9 @@ def run_cli(argv: list[str]) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FormatError, GuardError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (
+        FormatError, GuardError, VerificationError, ValueError, OSError, json.JSONDecodeError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

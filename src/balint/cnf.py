@@ -9,7 +9,7 @@ one to three literals), else ``general``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .model import FormatError
 
@@ -43,67 +43,41 @@ class CnfFormula:
                     raise ValueError(f"clause {idx}: variable x{var} appears twice")
                 seen_vars.add(var)
             normalized.append(lits)
-        phi = tuple(normalized)
-        return CnfFormula(num_vars=num_vars, clauses=phi, flavor=_classify(num_vars, phi))
+        phi = CnfFormula(num_vars=num_vars, clauses=tuple(normalized), flavor="general")
+        if is_tptn(phi):
+            return replace(phi, flavor="tptn")
+        if is_three_bounded(phi):
+            return replace(phi, flavor="three_bounded")
+        return phi
+
+    def occurrence_lists(self) -> list[tuple[list[int], list[int]]]:
+        """occurrences(var) for every variable, indexed by var (entry 0 is
+        unused), built in one pass over the clauses."""
+        table: list[tuple[list[int], list[int]]] = [
+            ([], []) for _ in range(self.num_vars + 1)
+        ]
+        for j, clause in enumerate(self.clauses, start=1):
+            for lit in clause:
+                table[abs(lit)][lit < 0].append(j)
+        return table
 
     def occurrences(self, var: int) -> tuple[list[int], list[int]]:
         """(positive clause indices, negative clause indices), 1-based, ascending."""
-        pos, neg = [], []
-        for j, clause in enumerate(self.clauses, start=1):
-            for lit in clause:
-                if lit == var:
-                    pos.append(j)
-                elif lit == -var:
-                    neg.append(j)
-        return pos, neg
-
-
-def _classify(num_vars: int, clauses) -> str:
-    pos = [0] * (num_vars + 1)
-    neg = [0] * (num_vars + 1)
-    sizes = []
-    for clause in clauses:
-        sizes.append(len(clause))
-        for lit in clause:
-            if lit > 0:
-                pos[lit] += 1
-            else:
-                neg[-lit] += 1
-    if all(s <= 3 for s in sizes) and all(
-        pos[v] == 2 and neg[v] == 2 for v in range(1, num_vars + 1)
-    ):
-        return "tptn"
-    if all(s in (2, 3) for s in sizes) and all(
-        pos[v] + neg[v] <= 3 for v in range(1, num_vars + 1)
-    ):
-        return "three_bounded"
-    return "general"
+        return self.occurrence_lists()[var]
 
 
 def is_three_bounded(phi: CnfFormula) -> bool:
     """Acceptable input for the independent-set reduction (includes the empty formula)."""
-    counts = [0] * (phi.num_vars + 1)
-    for clause in phi.clauses:
-        if len(clause) not in (2, 3):
-            return False
-        for lit in clause:
-            counts[abs(lit)] += 1
-    return all(c <= 3 for c in counts)
+    return all(len(clause) in (2, 3) for clause in phi.clauses) and all(
+        len(pos) + len(neg) <= 3 for pos, neg in phi.occurrence_lists()[1:]
+    )
 
 
 def is_tptn(phi: CnfFormula) -> bool:
     """Acceptable input for the dominating-set reduction (includes the empty formula)."""
-    pos = [0] * (phi.num_vars + 1)
-    neg = [0] * (phi.num_vars + 1)
-    for clause in phi.clauses:
-        if not 1 <= len(clause) <= 3:
-            return False
-        for lit in clause:
-            if lit > 0:
-                pos[lit] += 1
-            else:
-                neg[-lit] += 1
-    return all(pos[v] == 2 and neg[v] == 2 for v in range(1, phi.num_vars + 1))
+    return all(1 <= len(clause) <= 3 for clause in phi.clauses) and all(
+        len(pos) == 2 and len(neg) == 2 for pos, neg in phi.occurrence_lists()[1:]
+    )
 
 
 def evaluate(phi: CnfFormula, assignment: dict[int, bool]) -> bool:

@@ -20,20 +20,19 @@ from .model import (
     SolutionSet,
     SortedView,
     build_sorted_view,
-    solution_from_ids,
-    verify_solution,
+    greedy_independent,
+    verified_solution,
 )
 
 VECTOR_GUARD = 1 << 26
 
 
-def _run_dp(inst: ColoredIntervalInstance, f: int):
-    """Forward pass.  Returns (view, final level, birth table, peak level size).
+def _run_dp(inst: ColoredIntervalInstance, view: SortedView, f: int):
+    """Forward pass over view.  Returns (final level, birth table, peak level size).
 
     births maps each vector other than the origin to (1-based sorted position
     where it first appeared, predecessor vector at that position's prev level).
     """
-    view = build_sorted_view(inst)
     k = inst.k
     zero = (0,) * k
     colors = [inst.interval(id).color - 1 for id in view.order]
@@ -84,7 +83,7 @@ def _run_dp(inst: ColoredIntervalInstance, f: int):
         levels.append(merged)
         if len(merged) > peak:
             peak = len(merged)
-    return view, levels[inst.n], births, peak
+    return levels[inst.n], births, peak
 
 
 def _reconstruct(
@@ -125,7 +124,8 @@ def solve_fbis_dp(
             stats.update(feasible=False, peak_states=0, reason="color-deficient")
         return None
     target = (f,) * inst.k
-    view, _, births, peak = _run_dp(inst, f)
+    view = build_sorted_view(inst)
+    _, births, peak = _run_dp(inst, view, f)
     if stats is not None:
         stats["peak_states"] = peak
     feasible = target in births or inst.k == 0
@@ -133,16 +133,15 @@ def solve_fbis_dp(
         stats["feasible"] = feasible
     if not feasible:
         return None
-    sol = solution_from_ids(inst, "BIS", _reconstruct(view, births, target))
-    verdict = verify_solution(inst, sol, f)
-    assert verdict.valid, verdict.reason
-    return sol
+    return verified_solution(inst, "BIS", _reconstruct(view, births, target), f)
 
 
 def max_f(inst: ColoredIntervalInstance, stats: dict | None = None) -> int:
     """Largest f >= 0 admitting an f-balanced independent set.
 
-    One DP run capped at the minimum color-class size; the answer is the best
+    One DP run with every component capped at min(smallest color class,
+    floor(alpha / k)), alpha being the greedy maximum independent set size
+    (k f <= alpha for any f-balanced independent set); the answer is the best
     minimum component over the final level (a balanced sub-selection of any
     witness set stays independent).
     """
@@ -156,14 +155,17 @@ def max_f_with_witness(
     """max_f plus a witness trimmed to exactly that many intervals per color."""
     if inst.k == 0:
         return 0, None
-    class_sizes = [len(ivs) for ivs in inst.color_classes().values()]
-    cap = min(class_sizes)
+    view = build_sorted_view(inst)
+    cap = min(
+        min(len(ivs) for ivs in inst.color_classes().values()),
+        len(greedy_independent(view)) // inst.k,
+    )
     if cap == 0:
         if stats is not None:
             stats.update(peak_states=0, max_f=0)
         return 0, None
     _check_params(inst, cap)
-    view, final, births, peak = _run_dp(inst, cap)
+    final, births, peak = _run_dp(inst, view, cap)
     best = 0
     best_vector = None
     for u in final:
@@ -183,7 +185,4 @@ def max_f_with_witness(
         if quota[color] > 0:
             quota[color] -= 1
             trimmed.append(id)
-    sol = solution_from_ids(inst, "BIS", trimmed)
-    verdict = verify_solution(inst, sol, best)
-    assert verdict.valid, verdict.reason
-    return best, sol
+    return best, verified_solution(inst, "BIS", trimmed, best)

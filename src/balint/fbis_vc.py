@@ -17,9 +17,11 @@ from .model import (
     ColoredIntervalInstance,
     GuardError,
     SolutionSet,
-    intersects,
-    solution_from_ids,
-    verify_solution,
+    SortedView,
+    build_sorted_view,
+    greedy_independent,
+    neighborhood_masks,
+    verified_solution,
 )
 
 TAU_GUARD = 30
@@ -37,20 +39,19 @@ class VertexCoverDecomposition:
 
 def minimum_vertex_cover(inst: ColoredIntervalInstance) -> VertexCoverDecomposition:
     """Greedy maximum independent set by right endpoint; cover = complement."""
-    chosen: list[int] = []
-    frontier: int | None = None
-    for iv in sorted(inst.intervals, key=lambda iv: (iv.right, iv.left, iv.id)):
-        if frontier is None or iv.left > frontier:
-            chosen.append(iv.id)
-            frontier = iv.right
-    independent = frozenset(chosen)
-    cover = frozenset(iv.id for iv in inst.intervals) - independent
-    return VertexCoverDecomposition(independent=independent, cover=cover)
+    return _decompose(inst, build_sorted_view(inst))
 
 
-def _is_independent(inst: ColoredIntervalInstance, ids) -> bool:
-    members = sorted((inst.interval(i) for i in ids), key=lambda iv: (iv.left, iv.right))
-    return all(not intersects(a, b) for a, b in zip(members, members[1:]))
+def _decompose(inst: ColoredIntervalInstance, view: SortedView) -> VertexCoverDecomposition:
+    independent = frozenset(greedy_independent(view))
+    return VertexCoverDecomposition(
+        independent=independent, cover=frozenset(range(inst.n)) - independent
+    )
+
+
+def _bits(mask: int) -> list[int]:
+    """Set bit positions of mask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def enumerate_swap_candidates(
@@ -63,27 +64,33 @@ def enumerate_swap_candidates(
     prunes exactly the non-independent S.  The empty S (candidate V_ind) comes
     first.  Every maximal independent set of the instance is yielded.
     """
-    cover = sorted((inst.interval(i) for i in decomp.cover), key=lambda iv: (iv.right, iv.left, iv.id))
-    vind = decomp.independent
-    vind_neighbors = {
-        c.id: [v for v in vind if intersects(inst.interval(v), c)] for c in cover
-    }
+    view = build_sorted_view(inst)
+    for candidate in _candidate_masks(view, neighborhood_masks(inst, view), decomp):
+        yield frozenset(_bits(candidate))
 
-    def walk(idx: int, chosen: tuple[int, ...], frontier: int | None):
+
+def _candidate_masks(
+    view: SortedView, masks: list[int], decomp: VertexCoverDecomposition
+) -> Iterator[int]:
+    """enumerate_swap_candidates as bitmasks.  Choosing cover vertex s clears
+    its closed neighborhood and sets its own bit; the chosen vertices are
+    pairwise disjoint, so none clears another."""
+    cover = [
+        (pos, id)
+        for pos, id in enumerate(view.order, start=1)
+        if id in decomp.cover
+    ]
+
+    def walk(idx: int, candidate: int, last: int):
         if idx == len(cover):
-            removed = set()
-            for s in chosen:
-                removed.update(vind_neighbors[s])
-            candidate = frozenset((vind - removed) | set(chosen))
-            assert _is_independent(inst, candidate)
             yield candidate
             return
-        yield from walk(idx + 1, chosen, frontier)
-        iv = cover[idx]
-        if frontier is None or iv.left > frontier:
-            yield from walk(idx + 1, chosen + (iv.id,), iv.right)
+        yield from walk(idx + 1, candidate, last)
+        pos, id = cover[idx]
+        if view.prev[pos - 1] >= last:
+            yield from walk(idx + 1, (candidate & ~masks[id]) | (1 << id), pos)
 
-    yield from walk(0, (), None)
+    yield from walk(0, sum(1 << id for id in decomp.independent), 0)
 
 
 def solve_fbis_vc(
@@ -97,7 +104,8 @@ def solve_fbis_vc(
     """
     if f < 1:
         raise ValueError("f must be >= 1")
-    decomp = minimum_vertex_cover(inst)
+    view = build_sorted_view(inst)
+    decomp = _decompose(inst, view)
     if stats is not None:
         stats["tau"] = decomp.tau
         stats["candidates_examined"] = 0
@@ -110,17 +118,15 @@ def solve_fbis_vc(
             f"tau = {decomp.tau} exceeds {TAU_GUARD}; 2^tau enumeration refused "
             "(the vector DP handles this instance)"
         )
+    color_masks = [0] * inst.k
+    for iv in inst.intervals:
+        color_masks[iv.color - 1] |= 1 << iv.id
     examined = 0
-    for candidate in enumerate_swap_candidates(inst, decomp):
+    for candidate in _candidate_masks(view, neighborhood_masks(inst, view), decomp):
         examined += 1
-        buckets: dict[int, list[int]] = {c: [] for c in range(1, inst.k + 1)}
-        for id in candidate:
-            buckets[inst.interval(id).color].append(id)
-        if all(len(ids) >= f for ids in buckets.values()):
-            picked = [id for ids in buckets.values() for id in sorted(ids)[:f]]
-            sol = solution_from_ids(inst, "BIS", picked)
-            verdict = verify_solution(inst, sol, f)
-            assert verdict.valid, verdict.reason
+        if all((candidate & m).bit_count() >= f for m in color_masks):
+            picked = [id for m in color_masks for id in _bits(candidate & m)[:f]]
+            sol = verified_solution(inst, "BIS", picked, f)
             if stats is not None:
                 stats.update(feasible=True, candidates_examined=examined)
             return sol

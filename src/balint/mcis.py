@@ -16,8 +16,11 @@ from .model import (
     ColoredIntervalInstance,
     GuardError,
     SolutionSet,
+    SortedView,
+    build_sorted_view,
     intersects,
-    solution_from_ids,
+    neighborhood_masks,
+    verified_solution,
 )
 
 NEIGHBOR_BUDGET = 10**9
@@ -32,19 +35,23 @@ class LocalSearchConfig:
 
 
 def greedy_mcis(inst: ColoredIntervalInstance, stats: dict | None = None) -> SolutionSet:
-    slots: dict[int, int] = {}
-    frontier: int | None = None
-    for iv in sorted(inst.intervals, key=lambda iv: (iv.right, iv.left, iv.id)):
-        if iv.color in slots:
-            continue
-        if frontier is not None and iv.left <= frontier:
-            continue
-        slots[iv.color] = iv.id
-        frontier = iv.right
-    sol = solution_from_ids(inst, "MCIS", slots.values())
+    sol = verified_solution(inst, "MCIS", _greedy_ids(inst, build_sorted_view(inst)), 1)
     if stats is not None:
         stats["colors"] = sol.distinct_colors
     return sol
+
+
+def _greedy_ids(inst: ColoredIntervalInstance, view: SortedView) -> list[int]:
+    """Walk the right-endpoint order; keep a position whose color slot is free
+    and whose prev cut lies at or past the last kept position."""
+    slots: dict[int, int] = {}
+    last = 0
+    for pos, (id, prev) in enumerate(zip(view.order, view.prev), start=1):
+        color = inst.intervals[id].color
+        if color not in slots and prev >= last:
+            slots[color] = id
+            last = pos
+    return list(slots.values())
 
 
 def _guard_budget(n: int, b: int, budget: int) -> None:
@@ -54,18 +61,6 @@ def _guard_budget(n: int, b: int, budget: int) -> None:
         raise GuardError(
             f"n^(2b) = {n ** (2 * b)} neighbor evaluations exceeds budget {budget}"
         )
-
-
-def _conflict_masks(inst: ColoredIntervalInstance) -> list[int]:
-    masks = [0] * inst.n
-    ordered = sorted(inst.intervals, key=lambda iv: (iv.left, iv.right, iv.id))
-    for pos, a in enumerate(ordered):
-        for b in ordered[pos + 1 :]:
-            if b.left > a.right:
-                break
-            masks[a.id] |= 1 << b.id
-            masks[b.id] |= 1 << a.id
-    return masks
 
 
 def _improving_neighbor(
@@ -81,6 +76,8 @@ def _improving_neighbor(
     |removals|+1 outside intervals are grown in id order, rejecting any that
     intersects a retained interval or repeats a retained color before
     recursing.  An improving neighbor exists iff one of this shape does.
+    masks are closed neighborhoods; an outside interval's own bit is never in
+    the chosen mask, so masks[id] & mask tests intersection only.
     """
     members = sorted(current)
     outside = [iv for iv in inst.intervals if iv.id not in current]
@@ -128,9 +125,10 @@ def local_search_mcis(
     rounds.  Raises GuardError when n^(2b) exceeds cfg.neighbor_budget.
     """
     _guard_budget(inst.n, cfg.b, cfg.neighbor_budget)
-    masks = _conflict_masks(inst)
+    view = build_sorted_view(inst)
+    masks = neighborhood_masks(inst, view)
     if cfg.seed_with_greedy:
-        current = greedy_mcis(inst).ids
+        current = frozenset(_greedy_ids(inst, view))
     else:
         current = frozenset()
     rounds = 0
@@ -144,7 +142,7 @@ def local_search_mcis(
         current = nxt
         rounds += 1
         assert rounds <= inst.k
-    sol = solution_from_ids(inst, "MCIS", current)
+    sol = verified_solution(inst, "MCIS", current, 1)
     if stats is not None:
         stats.update(
             colors=sol.distinct_colors, rounds=rounds, neighbors_evaluated=counter[0]

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 
 SOLUTION_KINDS = ("BIS", "MCIS", "BDS")
 
@@ -27,6 +29,10 @@ class FormatError(ValueError):
 
 class GuardError(RuntimeError):
     """A solver or oracle refused to run: parameters exceed its search budget."""
+
+
+class VerificationError(RuntimeError):
+    """A solver's answer failed verify_solution: a solver bug, never bad input."""
 
 
 @dataclass(frozen=True, order=True)
@@ -152,6 +158,56 @@ def build_sorted_view(inst: ColoredIntervalInstance) -> SortedView:
     return SortedView(order=tuple(iv.id for iv in ranked), prev=prev)
 
 
+def greedy_independent(view: SortedView) -> list[int]:
+    """Ids of the earliest-right-endpoint greedy independent set, in view order.
+
+    On an interval graph it is a maximum independent set.  Position p joins
+    when the last chosen position q satisfies q <= prev[p-1], i.e. q ends
+    strictly left of p's left endpoint.
+    """
+    chosen: list[int] = []
+    last = 0
+    for pos, (id, prev) in enumerate(zip(view.order, view.prev), start=1):
+        if prev >= last:
+            chosen.append(id)
+            last = pos
+    return chosen
+
+
+def _left_cuts(inst: ColoredIntervalInstance, view: SortedView) -> tuple[list[int], list[int]]:
+    """Ids in left-endpoint order, and for each position of view.order the
+    number of intervals whose left endpoint is at most that interval's right."""
+    by_left = sorted(inst.intervals, key=lambda iv: iv.left)
+    lefts = [iv.left for iv in by_left]
+    cuts = [bisect_right(lefts, inst.intervals[id].right) for id in view.order]
+    return [iv.id for iv in by_left], cuts
+
+
+def neighborhood_masks(inst: ColoredIntervalInstance, view: SortedView) -> list[int]:
+    """Closed-neighborhood bitmasks by id: bit b of masks[a] is set iff a == b
+    or intervals a and b intersect.
+
+    N[a] = {b : left_b <= right_a} minus {b : right_b < left_a}.  The first set
+    is a prefix of the left-endpoint order; the second is the prefix of
+    view.order that the prev table cuts off, and lies inside the first
+    (right_b < left_a <= right_a).  So N[a] is the XOR of two prefix-ORs.
+    """
+    by_left, cuts = _left_cuts(inst, view)
+    starts = list(accumulate((1 << id for id in by_left), or_, initial=0))
+    ends = list(accumulate((1 << id for id in view.order), or_, initial=0))
+    masks = [0] * inst.n
+    for id, cut, prev in zip(view.order, cuts, view.prev):
+        masks[id] = starts[cut] ^ ends[prev]
+    return masks
+
+
+def edge_count(inst: ColoredIntervalInstance, view: SortedView) -> int:
+    """Number of intersecting pairs: the closed-neighborhood sizes of
+    neighborhood_masks, less one each, halved.  O(n log n)."""
+    _, cuts = _left_cuts(inst, view)
+    return (sum(cuts) - sum(view.prev) - inst.n) // 2
+
+
 @dataclass(frozen=True)
 class SolutionSet:
     """A candidate solution: kind, member ids, and the per-color histogram of the members."""
@@ -178,6 +234,18 @@ def solution_from_ids(
     for id in ids:
         counts[inst.interval(id).color - 1] += 1
     return SolutionSet(kind=kind, ids=ids, per_color_counts=tuple(counts))
+
+
+def verified_solution(
+    inst: ColoredIntervalInstance, kind: str, ids, f: int
+) -> SolutionSet:
+    """The SolutionSet of ids, checked by verify_solution.  Every solver returns
+    through here; a failed check raises VerificationError, also under python -O."""
+    sol = solution_from_ids(inst, kind, ids)
+    verdict = verify_solution(inst, sol, f)
+    if not verdict.valid:
+        raise VerificationError(f"{kind} solution with f={f} fails verification: {verdict.reason}")
+    return sol
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,7 @@ decoded to assignments and assignments encoded back to solutions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass, field, fields
 
 from .bds import canonicalize_bds
 from .cnf import CnfFormula, is_three_bounded, is_tptn
@@ -30,8 +29,9 @@ from .model import (
     ColoredIntervalInstance,
     Interval,
     SolutionSet,
-    intersects,
-    solution_from_ids,
+    build_sorted_view,
+    edge_count,
+    verified_solution,
     verify_solution,
 )
 
@@ -89,6 +89,28 @@ class VariableGadget:
     neg_clauses: tuple[int, int]
 
 
+ROLE_TYPES = {"occurrence": OccurrenceRole, "var": HubRole, "clause": ClauseRole}
+ROLE_TAGS = {cls: tag for tag, cls in ROLE_TYPES.items()}
+
+
+def _to_json(obj) -> dict:
+    """A dataclass's constructor fields as a JSON object; tuples become lists."""
+
+    def value(v):
+        return [value(x) for x in v] if isinstance(v, tuple) else v
+
+    return {f.name: value(getattr(obj, f.name)) for f in fields(obj) if f.init}
+
+
+def _from_json(cls, data: dict):
+    """Inverse of _to_json: read cls's constructor fields, lists become tuples."""
+
+    def value(v):
+        return tuple(value(x) for x in v) if isinstance(v, list) else v
+
+    return cls(**{f.name: value(data[f.name]) for f in fields(cls) if f.init})
+
+
 @dataclass(frozen=True)
 class GadgetMetadata:
     kind: str  # "indset" | "domset"
@@ -96,100 +118,45 @@ class GadgetMetadata:
     clauses: tuple[tuple[int, ...], ...]
     roles: dict[int, object] = field(default_factory=dict)
     variable_gadgets: dict[int, VariableGadget] = field(default_factory=dict)
+    _occurrence_ids: dict[tuple[int, int], int] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        object.__setattr__(self, "_occurrence_ids", {
+            (role.variable, role.clause): id
+            for id, role in self.roles.items()
+            if isinstance(role, OccurrenceRole)
+        })
 
     def formula(self) -> CnfFormula:
         return CnfFormula.build(self.num_vars, self.clauses)
 
     def occurrence_id(self, variable: int, clause: int) -> int:
-        for id, role in self.roles.items():
-            if (
-                isinstance(role, OccurrenceRole)
-                and role.variable == variable
-                and role.clause == clause
-            ):
-                return id
-        raise KeyError(f"no occurrence of x{variable} in clause {clause}")
+        try:
+            return self._occurrence_ids[variable, clause]
+        except KeyError:
+            raise KeyError(f"no occurrence of x{variable} in clause {clause}") from None
 
     def to_json_dict(self) -> dict:
-        roles = {}
-        for id, role in self.roles.items():
-            if isinstance(role, OccurrenceRole):
-                roles[str(id)] = {
-                    "type": "occurrence",
-                    "variable": role.variable,
-                    "clause": role.clause,
-                    "positive": role.positive,
-                }
-            elif isinstance(role, HubRole):
-                roles[str(id)] = {"type": "var", "variable": role.variable, "name": role.name}
-            else:
-                roles[str(id)] = {
-                    "type": "clause",
-                    "clause": role.clause,
-                    "variable": role.variable,
-                    "positive": role.positive,
-                    "slot": role.slot,
-                }
-        gadgets = {
-            str(var): {
-                "t1": g.t1,
-                "t2": g.t2,
-                "f1": g.f1,
-                "f2": g.f2,
-                "h_t": g.h_t,
-                "h_f": g.h_f,
-                "c_t1": g.c_t1,
-                "c_t2": g.c_t2,
-                "c_f1": g.c_f1,
-                "c_f2": g.c_f2,
-                "pos_clauses": list(g.pos_clauses),
-                "neg_clauses": list(g.neg_clauses),
-            }
-            for var, g in self.variable_gadgets.items()
+        data = _to_json(self)
+        data["roles"] = {
+            str(id): {"type": ROLE_TAGS[type(role)], **_to_json(role)}
+            for id, role in self.roles.items()
         }
-        return {
-            "kind": self.kind,
-            "num_vars": self.num_vars,
-            "clauses": [list(c) for c in self.clauses],
-            "roles": roles,
-            "variable_gadgets": gadgets,
+        data["variable_gadgets"] = {
+            str(var): _to_json(g) for var, g in self.variable_gadgets.items()
         }
+        return data
 
     @staticmethod
     def from_json_dict(data: dict) -> "GadgetMetadata":
-        roles: dict[int, object] = {}
-        for id_text, entry in data.get("roles", {}).items():
-            id = int(id_text)
-            if entry["type"] == "occurrence":
-                roles[id] = OccurrenceRole(
-                    variable=entry["variable"],
-                    clause=entry["clause"],
-                    positive=entry["positive"],
-                )
-            elif entry["type"] == "var":
-                roles[id] = HubRole(variable=entry["variable"], name=entry["name"])
-            else:
-                roles[id] = ClauseRole(
-                    clause=entry["clause"],
-                    variable=entry["variable"],
-                    positive=entry["positive"],
-                    slot=entry["slot"],
-                )
+        roles = {
+            int(id): _from_json(ROLE_TYPES[entry["type"]], entry)
+            for id, entry in data.get("roles", {}).items()
+        }
         gadgets = {
-            int(var): VariableGadget(
-                t1=g["t1"],
-                t2=g["t2"],
-                f1=g["f1"],
-                f2=g["f2"],
-                h_t=g["h_t"],
-                h_f=g["h_f"],
-                c_t1=g["c_t1"],
-                c_t2=g["c_t2"],
-                c_f1=g["c_f1"],
-                c_f2=g["c_f2"],
-                pos_clauses=tuple(g["pos_clauses"]),
-                neg_clauses=tuple(g["neg_clauses"]),
-            )
+            int(var): _from_json(VariableGadget, g)
             for var, g in data.get("variable_gadgets", {}).items()
         }
         return GadgetMetadata(
@@ -239,8 +206,7 @@ def reduce_indset(phi: CnfFormula) -> tuple[ColoredIntervalInstance, GadgetMetad
         for id, (j, positive) in zip(ids, occurrences):
             roles[id] = OccurrenceRole(variable=var, clause=j, positive=positive)
 
-    for var in range(1, phi.num_vars + 1):
-        pos, neg = phi.occurrences(var)
+    for var, (pos, neg) in enumerate(phi.occurrence_lists()[1:], start=1):
         if pos and neg:
             if len(pos) + len(neg) == 2:
                 emit(EDGE_COORDS, [(pos[0], True), (neg[0], False)])
@@ -284,8 +250,7 @@ def reduce_domset(phi: CnfFormula) -> tuple[ColoredIntervalInstance, GadgetMetad
         # parts: 1 = z_t1, 2 = z_t2, 3 = z_f1, 4 = z_f2, 5 = z_h
         return 5 * (var - 1) + part
 
-    for var in range(1, phi.num_vars + 1):
-        pos, neg = phi.occurrences(var)
+    for var, (pos, neg) in enumerate(phi.occurrence_lists()[1:], start=1):
         t1, h_t, t2 = builder.add_component(
             PATH_COORDS, [z(var, 1), z(var, 5), z(var, 2)]
         )
@@ -320,7 +285,7 @@ def reduce_domset(phi: CnfFormula) -> tuple[ColoredIntervalInstance, GadgetMetad
         k=5 * phi.num_vars, intervals=tuple(builder.intervals), proper_flag=True
     )
     assert inst.n == 6 * phi.num_vars + sum(len(c) for c in phi.clauses)
-    assert _edge_count(inst) == 4 * phi.num_vars + sum(
+    assert edge_count(inst, build_sorted_view(inst)) == 4 * phi.num_vars + sum(
         len(c) * (len(c) - 1) // 2 for c in phi.clauses
     )
     meta = GadgetMetadata(
@@ -331,12 +296,6 @@ def reduce_domset(phi: CnfFormula) -> tuple[ColoredIntervalInstance, GadgetMetad
         variable_gadgets=gadgets,
     )
     return inst, meta
-
-
-def _edge_count(inst: ColoredIntervalInstance) -> int:
-    return sum(
-        1 for a, b in combinations(inst.intervals, 2) if intersects(a, b)
-    )
 
 
 def decode_indset(
@@ -374,10 +333,7 @@ def encode_indset_solution(
         if chosen is None:
             raise ValueError(f"assignment does not satisfy clause {j}")
         ids.append(chosen)
-    sol = solution_from_ids(inst, "BIS", ids)
-    verdict = verify_solution(inst, sol, 1)
-    assert verdict.valid, verdict.reason
-    return sol
+    return verified_solution(inst, "BIS", ids, 1)
 
 
 def decode_domset(
@@ -409,7 +365,4 @@ def encode_domset_solution(
             ids.extend([g.h_t, g.f1, g.f2, g.c_t1, g.c_t2])
         else:
             ids.extend([g.h_f, g.t1, g.t2, g.c_f1, g.c_f2])
-    sol = solution_from_ids(inst, "BDS", ids)
-    verdict = verify_solution(inst, sol, 1)
-    assert verdict.valid, verdict.reason
-    return sol
+    return verified_solution(inst, "BDS", ids, 1)

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from balint import (
     CnfFormula,
@@ -61,8 +61,11 @@ def test_brute_stats_count_work():
     assert 1 <= stats["combinations_tried"] <= stats["combinations_bound"]
 
 
-def test_domination_index_matches_pairwise_checks():
-    inst = build_instance(2, [(0, 4, 1), (1, 5, 2), (2, 6, 1), (9, 11, 2)])
+@settings(max_examples=200, deadline=None)
+@given(inst=instances(max_n=24))
+@example(inst=build_instance(2, [(0, 4, 1), (1, 5, 2), (2, 6, 1), (9, 11, 2)]))
+@example(inst=build_instance(1, [(0, 2, 1), (2, 4, 1), (4, 4, 1), (5, 9, 1), (6, 7, 1), (6, 9, 1)]))
+def test_domination_index_matches_pairwise_checks(inst: ColoredIntervalInstance):
     index = DominationIndex.from_instance(inst)
     for a in inst.intervals:
         for b in inst.intervals:

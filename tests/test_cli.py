@@ -311,6 +311,19 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     assert run(["solve", "bis", "--f", "0", str(inst)], capsys)[0] == 1
 
 
+def test_failed_verification_exits_one(inst_file, capsys, monkeypatch):
+    import balint.cli
+    from balint import VerificationError
+
+    def broken(inst, stats):
+        raise VerificationError("MCIS solution with f=1 fails verification")
+
+    monkeypatch.setattr(balint.cli, "greedy_mcis", broken)
+    code, _, err = run(["solve", "mcis", inst_file], capsys)
+    assert code == 1
+    assert "fails verification" in err
+
+
 def test_installed_entry_point_matches_run_cli(tmp_path):
     inst = tmp_path / "inst.txt"
     inst.write_text(INSTANCE)

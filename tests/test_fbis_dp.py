@@ -80,7 +80,7 @@ def test_dp_stats_report_peak_and_feasibility():
 @given(inst=instances(max_n=14, max_k=3))
 def test_dp_levels_match_reference_recurrence(inst: ColoredIntervalInstance):
     for f in (1, 2):
-        _, final, _, peak = _run_dp(inst, f)
+        final, _, peak = _run_dp(inst, build_sorted_view(inst), f)
         ref = reference_levels(inst, f)
         assert set(final) == ref[inst.n]
         assert final == sorted(final)
@@ -97,7 +97,8 @@ def test_dp_reconstruction_realizes_every_final_vector(
     inst: ColoredIntervalInstance,
 ):
     f = 2
-    view, final, births, _ = _run_dp(inst, f)
+    view = build_sorted_view(inst)
+    final, births, _ = _run_dp(inst, view, f)
     for vector in final:
         ids = _reconstruct(view, births, vector)
         assert len(ids) == len(set(ids))
@@ -148,6 +149,17 @@ def test_max_f_witness_verifies_at_reported_f():
         assert witness is not None
         assert verify_solution(inst, witness, best).valid
         assert solve_fbis_dp(inst, best + 1) is None
+
+
+def test_max_f_caps_vectors_at_alpha_over_k():
+    # capped by the smallest class (54) alone, the DP would need 55^5 vectors,
+    # past VECTOR_GUARD; alpha // k is far smaller
+    inst = generate(GenSpec(n=300, k=5, seed=1, model="uniform-random"))
+    best, witness = max_f_with_witness(inst)
+    assert best >= 1
+    assert verify_solution(inst, witness, best).valid
+    assert solve_fbis_dp(inst, best) is not None
+    assert solve_fbis_dp(inst, best + 1) is None
 
 
 @settings(max_examples=100, deadline=None)

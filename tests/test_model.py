@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import subprocess
+import sys
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from balint import (
     ColoredIntervalInstance,
@@ -20,6 +22,7 @@ from balint import (
     solution_from_ids,
     verify_solution,
 )
+from balint.model import edge_count
 from helpers import brute_intersects, build_instance, instances, random_instance
 
 interval_st = st.builds(
@@ -155,6 +158,38 @@ def test_prev_matches_quadratic_scan_large(seed: int):
     inst = random_instance(rng, 200, 4)
     view = build_sorted_view(inst)
     assert view.prev == _quadratic_prev(inst, view.order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=instances(max_n=24))
+@example(inst=build_instance(1, [(0, 2, 1), (2, 4, 1), (4, 4, 1), (5, 9, 1), (6, 7, 1), (6, 9, 1)]))
+def test_edge_count_matches_pairwise_checks(inst: ColoredIntervalInstance):
+    pairs = sum(
+        1
+        for a in inst.intervals
+        for b in inst.intervals
+        if a.id < b.id and brute_intersects(a, b)
+    )
+    assert edge_count(inst, build_sorted_view(inst)) == pairs
+
+
+def test_verified_solution_raises_under_optimize():
+    script = (
+        "from balint import ColoredIntervalInstance, Interval, VerificationError\n"
+        "from balint.model import verified_solution\n"
+        "assert False, 'asserts must be off'\n"
+        "inst = ColoredIntervalInstance(k=1, intervals=(Interval(0, 0, 2, 1), Interval(1, 2, 3, 1)))\n"
+        "try:\n"
+        "    verified_solution(inst, 'BIS', [0, 1], 2)\n"
+        "except VerificationError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised:")
+    assert "intervals 0 and 1 intersect" in proc.stdout
 
 
 def test_parse_instance_worked_example():

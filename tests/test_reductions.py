@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from random import Random
 
 import pytest
@@ -282,3 +283,58 @@ def test_metadata_occurrence_lookup():
     assert meta.occurrence_id(1, 2) == 1
     with pytest.raises(KeyError):
         meta.occurrence_id(1, 9)
+
+
+# The metadata file format: `balint reduce --meta` writes this JSON (indented)
+# and `balint decode` / `encode` read it back.
+PINNED_INDSET_JSON = (
+    '{"kind": "indset", "num_vars": 2, "clauses": [[1, 2], [-1, -2], [1, -2]], "roles": {'
+    '"0": {"type": "occurrence", "variable": 1, "clause": 1, "positive": true}, '
+    '"1": {"type": "occurrence", "variable": 1, "clause": 2, "positive": false}, '
+    '"2": {"type": "occurrence", "variable": 1, "clause": 3, "positive": true}, '
+    '"3": {"type": "occurrence", "variable": 2, "clause": 2, "positive": false}, '
+    '"4": {"type": "occurrence", "variable": 2, "clause": 1, "positive": true}, '
+    '"5": {"type": "occurrence", "variable": 2, "clause": 3, "positive": false}}, '
+    '"variable_gadgets": {}}'
+)
+PINNED_DOMSET_JSON = (
+    '{"kind": "domset", "num_vars": 2, "clauses": [[1, 2], [1, -2], [-1, 2], [-1, -2]], "roles": {'
+    '"0": {"type": "var", "variable": 1, "name": "t1"}, '
+    '"1": {"type": "var", "variable": 1, "name": "h_t"}, '
+    '"2": {"type": "var", "variable": 1, "name": "t2"}, '
+    '"3": {"type": "var", "variable": 1, "name": "f1"}, '
+    '"4": {"type": "var", "variable": 1, "name": "h_f"}, '
+    '"5": {"type": "var", "variable": 1, "name": "f2"}, '
+    '"6": {"type": "var", "variable": 2, "name": "t1"}, '
+    '"7": {"type": "var", "variable": 2, "name": "h_t"}, '
+    '"8": {"type": "var", "variable": 2, "name": "t2"}, '
+    '"9": {"type": "var", "variable": 2, "name": "f1"}, '
+    '"10": {"type": "var", "variable": 2, "name": "h_f"}, '
+    '"11": {"type": "var", "variable": 2, "name": "f2"}, '
+    '"12": {"type": "clause", "clause": 1, "variable": 1, "positive": true, "slot": 1}, '
+    '"13": {"type": "clause", "clause": 1, "variable": 2, "positive": true, "slot": 1}, '
+    '"14": {"type": "clause", "clause": 2, "variable": 1, "positive": true, "slot": 2}, '
+    '"15": {"type": "clause", "clause": 2, "variable": 2, "positive": false, "slot": 1}, '
+    '"16": {"type": "clause", "clause": 3, "variable": 1, "positive": false, "slot": 1}, '
+    '"17": {"type": "clause", "clause": 3, "variable": 2, "positive": true, "slot": 2}, '
+    '"18": {"type": "clause", "clause": 4, "variable": 1, "positive": false, "slot": 2}, '
+    '"19": {"type": "clause", "clause": 4, "variable": 2, "positive": false, "slot": 2}}, '
+    '"variable_gadgets": {'
+    '"1": {"t1": 0, "t2": 2, "f1": 3, "f2": 5, "h_t": 1, "h_f": 4, "c_t1": 12, "c_t2": 14, '
+    '"c_f1": 16, "c_f2": 18, "pos_clauses": [1, 2], "neg_clauses": [3, 4]}, '
+    '"2": {"t1": 6, "t2": 8, "f1": 9, "f2": 11, "h_t": 7, "h_f": 10, "c_t1": 13, "c_t2": 17, '
+    '"c_f1": 15, "c_f2": 19, "pos_clauses": [1, 3], "neg_clauses": [2, 4]}}}'
+)
+
+
+@pytest.mark.parametrize(
+    "reducer, clauses, pinned",
+    [
+        (reduce_indset, [(1, 2), (-1, -2), (1, -2)], PINNED_INDSET_JSON),
+        (reduce_domset, [(1, 2), (1, -2), (-1, 2), (-1, -2)], PINNED_DOMSET_JSON),
+    ],
+)
+def test_metadata_json_format_is_pinned(reducer, clauses, pinned):
+    _, meta = reducer(CnfFormula.build(2, clauses))
+    assert json.dumps(meta.to_json_dict()) == pinned
+    assert GadgetMetadata.from_json_dict(json.loads(pinned)) == meta
