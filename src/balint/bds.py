@@ -1,6 +1,7 @@
 """Exact f-balanced dominating set solver and the gadget canonicalizer.
 
-solve_fbds_brute enumerates, class by class, every way of picking exactly f
+solve_fbds_brute enumerates, class by class and depth first on an explicit
+stack (so no recursion limit applies), every way of picking exactly f
 intervals per color, and returns the first selection whose closed
 neighborhoods cover every vertex.  Classes are visited smallest first and a
 partial selection is abandoned once even the union of all remaining classes'
@@ -83,26 +84,30 @@ def solve_fbds_brute(
         for id in classes[t]:
             reach |= index.closed_masks[id]
         suffix_reach[t] = reach
-    tried = [0]
-
-    def descend(t: int, chosen: list[int], covered: int) -> list[int] | None:
-        if covered | suffix_reach[t] != index.full_mask:
-            return None
-        if t == len(classes):
-            return list(chosen)
-        for combo in combinations(classes[t], f):
-            tried[0] += 1
+    tried = 0
+    picks: list[tuple[int, ...]] = []
+    found = None if classes else []
+    frames = [(combinations(classes[0], f), 0)] if classes else []
+    while frames:
+        t = len(frames) - 1
+        combos, covered = frames[t]
+        for combo in combos:
+            tried += 1
             mask = covered
             for id in combo:
                 mask |= index.closed_masks[id]
-            found = descend(t + 1, chosen + list(combo), mask)
-            if found is not None:
-                return found
-        return None
-
-    found = descend(0, [], 0)
+            if mask | suffix_reach[t + 1] == index.full_mask:
+                break
+        else:
+            frames.pop()
+            continue
+        picks[t:] = [combo]
+        if t + 1 == len(classes):
+            found = [id for pick in picks for id in pick]
+            break
+        frames.append((combinations(classes[t + 1], f), mask))
     if stats is not None:
-        stats["combinations_tried"] = tried[0]
+        stats["combinations_tried"] = tried
         stats["feasible"] = found is not None
     if found is None:
         return None

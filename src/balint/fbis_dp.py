@@ -1,18 +1,19 @@
 """Exact f-balanced independent set solver.
 
 Dynamic program over the right-endpoint order: one level per interval, each
-level holding the set of achievable per-color cardinality vectors (every
-component capped at f).  Level i merges level i-1 with the vectors of level
-prev(i) bumped in the color of interval i; both inputs are kept in
-lexicographic order so the merge is linear and deduplicates on the fly.
-Feasible iff (f,...,f) reaches the last level.  A global birth table (first
-level and predecessor vector of every vector) yields a witness set.
-
-State space is bounded by (f+1)^k vectors; the solver refuses to start when
-that exceeds VECTOR_GUARD.
+the set of achievable per-color cardinality vectors (components capped at f)
+packed into one int.  Vector u is bit sum_c u_c (f+1)^(k-1-c), so ascending
+bits are lexicographic order.  Level p is level p-1 OR the prev(p) level's
+vectors not yet full in p's color, shifted up one in that digit.  Feasible
+iff bit (f+1)^k - 1, the vector (f,...,f), reaches the last level.  The
+witness walk takes the interval of the first level holding the vector,
+removes its digit and searches again at or below its prev position.  The
+solver refuses (f+1)^k > VECTOR_GUARD vectors.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 from .model import (
     ColoredIntervalInstance,
@@ -27,76 +28,49 @@ from .model import (
 VECTOR_GUARD = 1 << 26
 
 
-def _run_dp(inst: ColoredIntervalInstance, view: SortedView, f: int):
-    """Forward pass over view.  Returns (final level, birth table, peak level size).
+def _digit_band(k: int, f: int, c: int, lo: int, hi: int) -> int:
+    """The packed vectors whose component c lies in lo..hi-1: one block of
+    bits per value of the more significant components, tiled by doubling."""
+    stride = (f + 1) ** (k - 1 - c)
+    block = ((1 << stride * (hi - lo)) - 1) << stride * lo
+    band, width, times = 0, stride * (f + 1), (f + 1) ** c
+    while times:
+        if times & 1:
+            band = band << width | block
+        block |= block << width
+        width *= 2
+        times >>= 1
+    return band
 
-    births maps each vector other than the origin to (1-based sorted position
-    where it first appeared, predecessor vector at that position's prev level).
-    """
-    k = inst.k
-    zero = (0,) * k
-    colors = [inst.interval(id).color - 1 for id in view.order]
-    levels: list[list[tuple[int, ...]]] = [[zero]]
-    births: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
-    peak = 1
-    bound = (f + 1) ** k
-    for pos in range(1, inst.n + 1):
-        c = colors[pos - 1]
-        current = levels[pos - 1]
-        reachable = levels[view.prev[pos - 1]]
-        bumped = [
-            (u[:c] + (u[c] + 1,) + u[c + 1 :], u) for u in reachable if u[c] < f
-        ]
-        if not bumped:
-            levels.append(current)
-            continue
-        merged: list[tuple[int, ...]] = []
-        i = j = 0
-        grew = False
-        while i < len(current) and j < len(bumped):
-            a = current[i]
-            b = bumped[j][0]
-            if a == b:
-                merged.append(a)
-                i += 1
-                j += 1
-            elif a < b:
-                merged.append(a)
-                i += 1
-            else:
-                merged.append(b)
-                births[b] = (pos, bumped[j][1])
-                grew = True
-                j += 1
-        if i < len(current):
-            merged.extend(current[i:])
-        while j < len(bumped):
-            b, pred = bumped[j]
-            merged.append(b)
-            births[b] = (pos, pred)
-            grew = True
-            j += 1
-        if not grew:
-            levels.append(current)
-            continue
-        assert len(merged) <= bound
-        levels.append(merged)
-        if len(merged) > peak:
-            peak = len(merged)
-    return levels[inst.n], births, peak
+
+def _run_dp(view: SortedView, k: int, f: int) -> list[int]:
+    """Packed levels 0..n over view: bit u of levels[p] is set iff vector u
+    is the histogram of an independent set among the first p positions."""
+    steps = [(_digit_band(k, f, c, 0, f), (f + 1) ** (k - 1 - c)) for c in range(k)]
+    levels = [1]
+    current = 1
+    for c, prev in zip(view.colors, view.prev):
+        not_full, stride = steps[c]
+        grown = current | (levels[prev] & not_full) << stride
+        if grown != current:
+            current = grown
+        levels.append(current)
+    return levels
 
 
 def _reconstruct(
-    view: SortedView,
-    births: dict[tuple[int, ...], tuple[int, tuple[int, ...]]],
-    vector: tuple[int, ...],
+    view: SortedView, levels: list[int], k: int, f: int, vector: int
 ) -> list[int]:
-    """Walk birth links back to the origin, collecting one interval id per step."""
+    """Ids of an independent set with histogram `vector`, which must be set in
+    levels[-1]: repeatedly take the interval of the first level holding the
+    vector, remove its color and continue at or below its prev position."""
     ids = []
-    zero = (0,) * len(vector)
-    while vector != zero:
-        pos, vector = births[vector]
+    hi = len(levels)
+    while vector:
+        pos = bisect_left(levels, 1, 0, hi, key=lambda level: level >> vector & 1)
         ids.append(view.order[pos - 1])
+        vector -= (f + 1) ** (k - 1 - view.colors[pos - 1])
+        hi = view.prev[pos - 1] + 1
     return ids
 
 
@@ -113,8 +87,9 @@ def solve_fbis_dp(
 ) -> SolutionSet | None:
     """Return an independent set with exactly f intervals of every color, or None.
 
-    Runs in O(n log n + k (f+1)^k n).  Color-deficient instances are refused
-    without running the DP.  Raises GuardError when (f+1)^k > VECTOR_GUARD.
+    Runs in O(n log n + n (f+1)^k / w) for word size w.  Color-deficient
+    instances are refused without running the DP.  Raises GuardError when
+    (f+1)^k > VECTOR_GUARD.
     """
     if f < 1:
         raise ValueError("f must be >= 1")
@@ -123,17 +98,16 @@ def solve_fbis_dp(
         if stats is not None:
             stats.update(feasible=False, peak_states=0, reason="color-deficient")
         return None
-    target = (f,) * inst.k
+    k = inst.k
+    target = (f + 1) ** k - 1
     view = build_sorted_view(inst)
-    _, births, peak = _run_dp(inst, view, f)
+    levels = _run_dp(view, k, f)
+    feasible = bool(levels[-1] >> target & 1)
     if stats is not None:
-        stats["peak_states"] = peak
-    feasible = target in births or inst.k == 0
-    if stats is not None:
-        stats["feasible"] = feasible
+        stats.update(peak_states=levels[-1].bit_count(), feasible=feasible)
     if not feasible:
         return None
-    return verified_solution(inst, "BIS", _reconstruct(view, births, target), f)
+    return verified_solution(inst, "BIS", _reconstruct(view, levels, k, f, target), f)
 
 
 def max_f(inst: ColoredIntervalInstance, stats: dict | None = None) -> int:
@@ -141,9 +115,9 @@ def max_f(inst: ColoredIntervalInstance, stats: dict | None = None) -> int:
 
     One DP run with every component capped at min(smallest color class,
     floor(alpha / k)), alpha being the greedy maximum independent set size
-    (k f <= alpha for any f-balanced independent set); the answer is the best
-    minimum component over the final level (a balanced sub-selection of any
-    witness set stays independent).
+    (k f <= alpha for any f-balanced independent set); the answer is the
+    largest g such that some final vector has every component >= g (a
+    balanced sub-selection of any witness set stays independent).
     """
     value, _ = max_f_with_witness(inst, stats)
     return value
@@ -152,37 +126,36 @@ def max_f(inst: ColoredIntervalInstance, stats: dict | None = None) -> int:
 def max_f_with_witness(
     inst: ColoredIntervalInstance, stats: dict | None = None
 ) -> tuple[int, SolutionSet | None]:
-    """max_f plus a witness trimmed to exactly that many intervals per color."""
+    """max_f plus a witness trimmed to exactly that many intervals per color,
+    from the lowest final vector (in lexicographic order) with that minimum."""
     if inst.k == 0:
         return 0, None
+    k = inst.k
     view = build_sorted_view(inst)
     cap = min(
         min(len(ivs) for ivs in inst.color_classes().values()),
-        len(greedy_independent(view)) // inst.k,
+        len(greedy_independent(view)) // k,
     )
     if cap == 0:
         if stats is not None:
             stats.update(peak_states=0, max_f=0)
         return 0, None
     _check_params(inst, cap)
-    final, births, peak = _run_dp(inst, view, cap)
-    best = 0
-    best_vector = None
-    for u in final:
-        low = min(u)
-        if low > best:
-            best = low
-            best_vector = u
+    levels = _run_dp(view, k, cap)
+    final = levels[-1]
+    best, hits = 0, final
+    while best < cap:
+        above = final
+        for c in range(k):
+            above &= _digit_band(k, cap, c, best + 1, cap + 1)
+        if not above:
+            break
+        best, hits = best + 1, above
     if stats is not None:
-        stats.update(peak_states=peak, max_f=best)
+        stats.update(peak_states=final.bit_count(), max_f=best)
     if best == 0:
         return 0, None
-    ids = _reconstruct(view, births, best_vector)
-    trimmed: list[int] = []
-    quota = {c: best for c in range(1, inst.k + 1)}
-    for id in sorted(ids):
-        color = inst.interval(id).color
-        if quota[color] > 0:
-            quota[color] -= 1
-            trimmed.append(id)
+    ids = sorted(_reconstruct(view, levels, k, cap, (hits & -hits).bit_length() - 1))
+    classes = [[i for i in ids if inst.interval(i).color == c] for c in range(1, k + 1)]
+    trimmed = [id for members in classes for id in members[:best]]
     return best, verified_solution(inst, "BIS", trimmed, best)

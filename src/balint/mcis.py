@@ -35,19 +35,18 @@ class LocalSearchConfig:
 
 
 def greedy_mcis(inst: ColoredIntervalInstance, stats: dict | None = None) -> SolutionSet:
-    sol = verified_solution(inst, "MCIS", _greedy_ids(inst, build_sorted_view(inst)), 1)
+    sol = verified_solution(inst, "MCIS", _greedy_ids(build_sorted_view(inst)), 1)
     if stats is not None:
         stats["colors"] = sol.distinct_colors
     return sol
 
 
-def _greedy_ids(inst: ColoredIntervalInstance, view: SortedView) -> list[int]:
+def _greedy_ids(view: SortedView) -> list[int]:
     """Walk the right-endpoint order; keep a position whose color slot is free
     and whose prev cut lies at or past the last kept position."""
     slots: dict[int, int] = {}
     last = 0
-    for pos, (id, prev) in enumerate(zip(view.order, view.prev), start=1):
-        color = inst.intervals[id].color
+    for pos, (id, prev, color) in enumerate(zip(view.order, view.prev, view.colors), start=1):
         if color not in slots and prev >= last:
             slots[color] = id
             last = pos
@@ -128,7 +127,7 @@ def local_search_mcis(
     view = build_sorted_view(inst)
     masks = neighborhood_masks(inst, view)
     if cfg.seed_with_greedy:
-        current = frozenset(_greedy_ids(inst, view))
+        current = frozenset(_greedy_ids(view))
     else:
         current = frozenset()
     rounds = 0

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import or_
+from itertools import accumulate, repeat
+from operator import attrgetter, or_
 
 SOLUTION_KINDS = ("BIS", "MCIS", "BDS")
 
@@ -140,22 +140,43 @@ def _find_strict_containment(
 class SortedView:
     """Instance intervals in (right asc, left asc, id asc) order plus the prev table.
 
-    ``order[p-1]`` is the interval id at 1-based sorted position p.  ``prev[p-1]``
-    is the 1-based position of the rightmost interval whose right endpoint lies
-    strictly left of position p's left endpoint, or 0 if none exists.  Every
-    interval at a position in prev[p-1]+1 .. p-1 intersects the interval at p.
+    ``order[p-1]`` is the interval id at 1-based sorted position p and
+    ``colors[p-1]`` its color minus one.  ``prev[p-1]`` is the 1-based position
+    of the rightmost interval whose right endpoint lies strictly left of
+    position p's left endpoint, or 0 if none exists.  Every interval at a
+    position in prev[p-1]+1 .. p-1 intersects the interval at p.
     """
 
     order: tuple[int, ...]
     prev: tuple[int, ...]
+    colors: tuple[int, ...]
 
 
 def build_sorted_view(inst: ColoredIntervalInstance) -> SortedView:
-    """Sort intervals and compute the prev table by binary search, O(n log n)."""
-    ranked = sorted(inst.intervals, key=lambda iv: (iv.right, iv.left, iv.id))
-    rights = [iv.right for iv in ranked]
-    prev = tuple(bisect_left(rights, iv.left) for iv in ranked)
-    return SortedView(order=tuple(iv.id for iv in ranked), prev=prev)
+    """Sort intervals and compute the prev table by binary search, O(n log n).
+
+    Each interval is one integer key (((right-lo) w + left-lo) n + id) k + color-1,
+    lo being the least left endpoint and w the endpoint span: the sorted keys
+    are in (right, left, id) order and decode to every column by arithmetic,
+    without going back to the Interval objects.  A position's prev entry is
+    the insertion point of the key (left-lo) w n k.
+    """
+    ivs = inst.intervals
+    lo = min(map(attrgetter("left"), ivs), default=0)
+    w = max(map(attrgetter("right"), ivs), default=0) - lo + 1
+    k = inst.k
+    nk = inst.n * k
+    keys = sorted(
+        [((iv.right - lo) * w + iv.left - lo) * nk + iv.id * k + iv.color - 1 for iv in ivs]
+    )
+    low = [key % nk for key in keys]
+    scale = w * nk
+    cuts = [key // nk % w * scale for key in keys]
+    return SortedView(
+        order=tuple([x // k for x in low]),
+        prev=tuple(map(bisect_left, repeat(keys), cuts)),
+        colors=tuple([x % k for x in low]),
+    )
 
 
 def greedy_independent(view: SortedView) -> list[int]:

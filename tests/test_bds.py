@@ -53,6 +53,21 @@ def test_brute_combination_guard():
         solve_fbds_brute(inst, 20)
 
 
+def test_brute_search_depth_is_not_bounded_by_recursion():
+    # one class per color, far more classes than the interpreter's recursion limit
+    inst = build_instance(1500, [(3 * i, 3 * i + 1, i + 1) for i in range(1500)])
+    stats = {}
+    sol = solve_fbds_brute(inst, 1, stats)
+    assert sol is not None and sol.ids == frozenset(range(1500))
+    assert stats["combinations_tried"] == 1500
+    # infeasible: the singleton class is tried once, then each pick of the
+    # two-interval class counts as tried before the prune rejects it
+    inst = build_instance(2, [(0, 1, 1), (3, 4, 1), (6, 7, 2)])
+    stats = {}
+    assert solve_fbds_brute(inst, 1, stats) is None
+    assert stats["combinations_tried"] == 3
+
+
 def test_brute_stats_count_work():
     inst = build_instance(2, [(0, 4, 1), (1, 5, 2), (2, 6, 1)])
     stats = {}

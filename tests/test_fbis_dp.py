@@ -76,19 +76,31 @@ def test_dp_stats_report_peak_and_feasibility():
     assert 1 <= stats["peak_states"] <= 4
 
 
+def unpack(level: int, k: int, f: int) -> set[tuple[int, ...]]:
+    """The cardinality vectors whose bits are set in a packed level."""
+    vectors = set()
+    for bit in range(level.bit_length()):
+        if level >> bit & 1:
+            digits = []
+            for _ in range(k):
+                bit, digit = divmod(bit, f + 1)
+                digits.append(digit)
+            vectors.add(tuple(reversed(digits)))
+    return vectors
+
+
 @settings(max_examples=150, deadline=None)
 @given(inst=instances(max_n=14, max_k=3))
 def test_dp_levels_match_reference_recurrence(inst: ColoredIntervalInstance):
     for f in (1, 2):
-        final, _, peak = _run_dp(inst, build_sorted_view(inst), f)
+        levels = _run_dp(build_sorted_view(inst), inst.k, f)
         ref = reference_levels(inst, f)
-        assert set(final) == ref[inst.n]
-        assert final == sorted(final)
-        assert len(final) == len(set(final))
-        assert peak <= (f + 1) ** inst.k
-        # the level sequence is monotone under set inclusion
-        for lo, hi in zip(ref, ref[1:]):
-            assert lo <= hi
+        assert [unpack(level, inst.k, f) for level in levels] == ref
+        assert levels[-1] < 1 << (f + 1) ** inst.k
+        for lo, hi in zip(levels, levels[1:]):
+            # levels only grow, and a level that does not grow is the same int
+            assert lo & hi == lo
+            assert lo != hi or lo is hi
 
 
 @settings(max_examples=150, deadline=None)
@@ -98,15 +110,40 @@ def test_dp_reconstruction_realizes_every_final_vector(
 ):
     f = 2
     view = build_sorted_view(inst)
-    final, births, _ = _run_dp(inst, view, f)
-    for vector in final:
-        ids = _reconstruct(view, births, vector)
+    levels = _run_dp(view, inst.k, f)
+    for vector in range(levels[-1].bit_length()):
+        if not levels[-1] >> vector & 1:
+            continue
+        ids = _reconstruct(view, levels, inst.k, f, vector)
         assert len(ids) == len(set(ids))
         counts = [0] * inst.k
         for i in ids:
             counts[inst.interval(i).color - 1] += 1
-        assert tuple(counts) == vector
+        assert {tuple(counts)} == unpack(1 << vector, inst.k, f)
         assert independent_pairs_ok(inst, ids)
+
+
+@pytest.mark.parametrize(
+    "spec, f, ids",
+    [
+        (
+            GenSpec(n=40, k=3, seed=11, model="uniform-random", f_target=2),
+            2,
+            [3, 7, 21, 24, 26, 28],
+        ),
+        (GenSpec(n=200, k=4, seed=7), 2, [20, 32, 42, 49, 68, 70, 104, 143]),
+        (
+            GenSpec(n=16384, k=4, seed=1),
+            2,
+            [7, 7582, 9750, 10992, 12513, 15067, 15839, 15915],
+        ),
+    ],
+)
+def test_dp_witness_ids_are_pinned(spec: GenSpec, f: int, ids: list[int]):
+    # the ids returned by the tuple-vector DP with its birth table; the
+    # first-appearance walk over packed levels must give the same witness
+    sol = solve_fbis_dp(generate(spec), f)
+    assert sol is not None and sorted(sol.ids) == ids
 
 
 @settings(max_examples=200, deadline=None)
@@ -169,3 +206,12 @@ def test_max_f_matches_oracle_sweep(inst: ColoredIntervalInstance):
     if best > 0:
         assert oracle_fbis(inst, best) is not None
     assert oracle_fbis(inst, best + 1) is None
+
+
+def test_max_f_packed_pass_on_large_instance():
+    # one pass at the floor(alpha / k) cap decides f = 13 among 14^4 vectors
+    inst = generate(GenSpec(n=2000, k=4, seed=1, model="uniform-random"))
+    best, witness = max_f_with_witness(inst)
+    assert best == 13
+    assert verify_solution(inst, witness, best).valid
+    assert solve_fbis_dp(inst, 14) is None

@@ -127,6 +127,32 @@ def test_sorted_view_tie_break_on_left_then_id():
     assert view.order == (1, 0, 2)
 
 
+@st.composite
+def crowded_instances(draw):
+    """Instances on a narrow grid around zero: negative endpoints, shared
+    lefts and rights, nested and touching intervals, and the empty k = 0 case."""
+    k = draw(st.integers(0, 4))
+    n = draw(st.integers(0, 16)) if k else 0
+    triples = []
+    for _ in range(n):
+        a = draw(st.integers(-6, 6))
+        b = draw(st.integers(-6, 6))
+        triples.append((min(a, b), max(a, b), draw(st.integers(1, k))))
+    return build_instance(k, triples)
+
+
+@settings(max_examples=300)
+@given(inst=crowded_instances())
+@example(inst=build_instance(0, []))
+@example(inst=build_instance(2, [(-3, 4, 2), (-3, 4, 1), (-1, 2, 2), (4, 6, 1), (-5, -3, 1)]))
+def test_sorted_view_matches_tuple_sort(inst: ColoredIntervalInstance):
+    view = build_sorted_view(inst)
+    ranked = sorted(inst.intervals, key=lambda iv: (iv.right, iv.left, iv.id))
+    assert view.order == tuple(iv.id for iv in ranked)
+    assert view.prev == tuple(sum(1 for r in ranked if r.right < iv.left) for iv in ranked)
+    assert view.colors == tuple(inst.interval(id).color - 1 for id in view.order)
+
+
 def _quadratic_prev(inst: ColoredIntervalInstance, order):
     rights = [inst.interval(i).right for i in order]
     prev = []
