@@ -1,4 +1,4 @@
-"""Exact f-balanced dominating set solver and the gadget canonicalizer.
+"""Exact f-balanced dominating set solver.
 
 solve_fbds_brute enumerates, class by class and depth first on an explicit
 stack (so no recursion limit applies), every way of picking exactly f
@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import TYPE_CHECKING
 
 from .model import (
     ColoredIntervalInstance,
@@ -23,11 +22,7 @@ from .model import (
     build_sorted_view,
     neighborhood_masks,
     verified_solution,
-    verify_solution,
 )
-
-if TYPE_CHECKING:
-    from .reductions import GadgetMetadata
 
 COMBINATION_GUARD = 10**8
 
@@ -113,40 +108,3 @@ def solve_fbds_brute(
         return None
     return verified_solution(inst, "BDS", found, f)
 
-
-def canonicalize_bds(
-    inst: ColoredIntervalInstance, meta: "GadgetMetadata", sol: SolutionSet
-) -> SolutionSet:
-    """Rewrite a valid 1-balanced dominating set of a reduced instance into the
-    canonical per-variable form.
-
-    For each variable, a valid balanced solution contains exactly one of the
-    two hub vertices.  With the true hub in, both false-side leaves are forced
-    in and the true-side leaves can be traded for that variable's positive
-    clause vertices without breaking balance or domination; symmetrically for
-    the false hub.  Variables are processed in index order; the result is
-    unchanged by a second pass.
-    """
-    if meta.kind != "domset":
-        raise ValueError("metadata does not describe a dominating-set reduction")
-    verdict = verify_solution(inst, sol, 1)
-    if not verdict.valid:
-        raise ValueError(f"solution is not a valid 1-balanced dominating set: {verdict.reason}")
-    ids = set(sol.ids)
-    for var in sorted(meta.variable_gadgets):
-        g = meta.variable_gadgets[var]
-        if g.h_t in ids:
-            ids.discard(g.t1)
-            ids.discard(g.t2)
-            ids.add(g.c_t1)
-            ids.add(g.c_t2)
-        elif g.h_f in ids:
-            ids.discard(g.f1)
-            ids.discard(g.f2)
-            ids.add(g.c_f1)
-            ids.add(g.c_f2)
-        else:
-            raise ValueError(
-                f"metadata inconsistent with solution: variable x{var} has no hub vertex"
-            )
-    return verified_solution(inst, "BDS", ids, 1)

@@ -12,10 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from time import perf_counter
 
 from . import bench as bench_mod
-from .bds import canonicalize_bds, solve_fbds_brute
+from .bds import solve_fbds_brute
 from .cnf import parse_dimacs
 from .fbis_dp import max_f_with_witness, solve_fbis_dp
 from .fbis_vc import solve_fbis_vc
@@ -37,6 +38,7 @@ from .model import (
 from .oracle import OracleBudget, oracle_fbds, oracle_fbis, oracle_mcis, oracle_sat
 from .reductions import (
     GadgetMetadata,
+    canonicalize_bds,
     decode_domset,
     decode_indset,
     encode_domset_solution,
@@ -75,115 +77,92 @@ def _write(path: str | None, text: str) -> None:
             handle.write(text)
 
 
-def _emit_solution(args, sol, f: int, payload: dict) -> None:
-    """Write the verified solution and/or the JSON stats object."""
+def _finish(args, payload: dict, sol, f: int, infeasible_message: str) -> int:
+    """Write the verified solution and/or the JSON payload, or report infeasible."""
+    if sol is None:
+        if args.json:
+            print(json.dumps(payload))
+        else:
+            print(infeasible_message, file=sys.stderr)
+        return EXIT_INFEASIBLE
+    payload["ids"] = sorted(sol.ids)
     text = serialize_solution(sol, f)
     if args.json:
         print(json.dumps(payload))
-        if args.out:
-            _write(args.out, text)
-    elif args.out:
+    if args.out:
         _write(args.out, text)
-        print(f"solution written to {args.out}", file=sys.stderr)
-    else:
+        if not args.json:
+            print(f"solution written to {args.out}", file=sys.stderr)
+    elif not args.json:
         sys.stdout.write(text)
-
-
-def _emit_infeasible(args, payload: dict, message: str) -> int:
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print(message, file=sys.stderr)
-    return EXIT_INFEASIBLE
+    return EXIT_OK
 
 
 def _cmd_solve(args) -> int:
     inst = parse_instance(_read(args.instance))
-    stats: dict = {}
-    payload: dict = {
-        "command": "solve",
-        "problem": args.problem,
-        "n": inst.n,
-        "k": inst.k,
-    }
-    if args.problem == "bis":
+    payload: dict = {"command": "solve", "problem": args.problem, "n": inst.n, "k": inst.k}
+    maximize = args.problem == "bis" and args.maximize
+    if args.problem != "bds":
         payload["method"] = args.method
-        if args.maximize:
-            start = perf_counter()
-            best, sol = max_f_with_witness(inst, stats)
-            payload.update(
-                max_f=best,
-                wall_time_s=perf_counter() - start,
-                peak_states=stats.get("peak_states", 0),
-            )
-            if sol is None:
-                payload["ids"] = []
-                if args.json:
-                    print(json.dumps(payload))
-                else:
-                    print(f"max f = {best}")
-                return EXIT_OK
-            payload["ids"] = sorted(sol.ids)
-            _emit_solution(args, sol, best, payload)
-            if not args.json and args.out is None:
-                print(f"# max f = {best}", file=sys.stderr)
-            return EXIT_OK
-        solver = solve_fbis_dp if args.method == "dp" else solve_fbis_vc
-        start = perf_counter()
-        sol = solver(inst, args.f, stats)
-        payload.update(f=args.f, wall_time_s=perf_counter() - start, **stats)
-        if sol is None:
-            return _emit_infeasible(args, payload, f"infeasible: no {args.f}-balanced independent set")
-        payload["ids"] = sorted(sol.ids)
-        _emit_solution(args, sol, args.f, payload)
-        return EXIT_OK
+    # Solvers are looked up by their module-global names when the command runs.
     if args.problem == "mcis":
-        payload["method"] = args.method
-        start = perf_counter()
+        f = 1
         if args.method == "greedy":
-            sol = greedy_mcis(inst, stats)
+            solve = lambda stats: greedy_mcis(inst, stats)
         else:
-            sol = local_search_mcis(
-                inst, LocalSearchConfig(b=args.b, neighbor_budget=args.budget), stats
-            )
-        payload.update(wall_time_s=perf_counter() - start, **stats)
-        payload["ids"] = sorted(sol.ids)
-        _emit_solution(args, sol, 1, payload)
-        return EXIT_OK
-    # bds
+            cfg = LocalSearchConfig(b=args.b, neighbor_budget=args.budget)
+            solve = lambda stats: local_search_mcis(inst, cfg, stats)
+    elif maximize:
+        payload["max_f"] = None  # keeps its place ahead of the timing; stats fill it
+        solve = lambda stats: max_f_with_witness(inst, stats)[1]
+    else:
+        if args.problem == "bds":
+            solver = solve_fbds_brute
+        else:
+            solver = solve_fbis_dp if args.method == "dp" else solve_fbis_vc
+        payload["f"] = f = args.f
+        solve = lambda stats: solver(inst, f, stats)
+    stats: dict = {}
     start = perf_counter()
-    sol = solve_fbds_brute(inst, args.f, stats)
-    payload.update(f=args.f, wall_time_s=perf_counter() - start, **stats)
-    if sol is None:
-        return _emit_infeasible(args, payload, f"infeasible: no {args.f}-balanced dominating set")
-    payload["ids"] = sorted(sol.ids)
-    _emit_solution(args, sol, args.f, payload)
-    return EXIT_OK
+    sol = solve(stats)
+    payload.update(wall_time_s=perf_counter() - start, **stats)
+    if maximize:
+        f = payload["max_f"]
+        if sol is None:
+            payload["ids"] = []
+            print(json.dumps(payload) if args.json else f"max f = {f}")
+            return EXIT_OK
+    noun = "dominating" if args.problem == "bds" else "independent"
+    code = _finish(args, payload, sol, f, f"infeasible: no {f}-balanced {noun} set")
+    if maximize and not args.json and args.out is None:
+        print(f"# max f = {f}", file=sys.stderr)
+    return code
+
+
+def _load_solution(inst, path: str):
+    """(SolutionSet, f) of a solution file over inst."""
+    kind, f, ids = parse_solution(_read(path))
+    return solution_from_ids(inst, kind, ids), f
 
 
 def _cmd_verify(args) -> int:
     inst = parse_instance(_read(args.instance))
-    kind, f, ids = parse_solution(_read(args.solution))
-    sol = solution_from_ids(inst, kind, ids)
+    sol, f = _load_solution(inst, args.solution)
     verdict = verify_solution(inst, sol, f)
+    colors = verdict.distinct_colors
     payload = {
         "command": "verify",
-        "kind": kind,
+        "kind": sol.kind,
         "f": f,
         "valid": verdict.valid,
         "reason": verdict.reason,
     }
-    if verdict.distinct_colors is not None:
-        payload["distinct_colors"] = verdict.distinct_colors
+    if colors is not None:
+        payload["distinct_colors"] = colors
     if args.json:
         print(json.dumps(payload))
     elif verdict.valid:
-        extra = (
-            f" ({verdict.distinct_colors} colors)"
-            if verdict.distinct_colors is not None
-            else ""
-        )
-        print(f"valid {kind} f={f}{extra}")
+        print(f"valid {sol.kind} f={f}" + (f" ({colors} colors)" if colors is not None else ""))
     else:
         print(f"invalid: {verdict.reason}", file=sys.stderr)
     return EXIT_OK if verdict.valid else EXIT_INFEASIBLE
@@ -191,65 +170,49 @@ def _cmd_verify(args) -> int:
 
 def _cmd_reduce(args) -> int:
     phi = parse_dimacs(_read(args.cnf))
-    if args.target == "indset":
-        inst, meta = reduce_indset(phi)
-    else:
-        inst, meta = reduce_domset(phi)
+    inst, meta = (reduce_indset if args.target == "indset" else reduce_domset)(phi)
     _write(args.out, serialize_instance(inst))
     if args.meta:
         _write(args.meta, json.dumps(meta.to_json_dict(), indent=2) + "\n")
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "command": "reduce",
-                    "target": args.target,
-                    "num_vars": phi.num_vars,
-                    "num_clauses": len(phi.clauses),
-                    "n": inst.n,
-                    "k": inst.k,
-                }
-            )
-        )
+        print(json.dumps({
+            "command": "reduce",
+            "target": args.target,
+            "num_vars": phi.num_vars,
+            "num_clauses": len(phi.clauses),
+            "n": inst.n,
+            "k": inst.k,
+        }))
     return EXIT_OK
 
 
-def _load_meta(path: str) -> GadgetMetadata:
-    return GadgetMetadata.from_json_dict(json.loads(_read(path)))
+def _load_bridge(args):
+    """The instance and metadata of a bridge command, and its solution when it
+    takes one (None otherwise)."""
+    inst = parse_instance(_read(args.instance))
+    meta = GadgetMetadata.from_json_dict(json.loads(_read(args.meta)))
+    sol = _load_solution(inst, args.solution)[0] if "solution" in vars(args) else None
+    return inst, meta, sol
 
 
 def _cmd_decode(args) -> int:
-    inst = parse_instance(_read(args.instance))
-    meta = _load_meta(args.meta)
-    kind, f, ids = parse_solution(_read(args.solution))
-    sol = solution_from_ids(inst, kind, ids)
-    if meta.kind == "indset":
-        assignment = decode_indset(inst, meta, sol)
-    else:
-        assignment = decode_domset(inst, meta, sol)
-    _write(args.out, serialize_assignment(assignment))
+    inst, meta, sol = _load_bridge(args)
+    decode = decode_indset if meta.kind == "indset" else decode_domset
+    _write(args.out, serialize_assignment(decode(inst, meta, sol)))
     return EXIT_OK
 
 
 def _cmd_encode(args) -> int:
-    inst = parse_instance(_read(args.instance))
-    meta = _load_meta(args.meta)
+    inst, meta, _ = _load_bridge(args)
     assignment = parse_assignment(_read(args.assignment))
-    if meta.kind == "indset":
-        sol = encode_indset_solution(inst, meta, assignment)
-    else:
-        sol = encode_domset_solution(inst, meta, assignment)
-    _write(args.out, serialize_solution(sol, 1))
+    encode = encode_indset_solution if meta.kind == "indset" else encode_domset_solution
+    _write(args.out, serialize_solution(encode(inst, meta, assignment), 1))
     return EXIT_OK
 
 
 def _cmd_canonicalize(args) -> int:
-    inst = parse_instance(_read(args.instance))
-    meta = _load_meta(args.meta)
-    kind, f, ids = parse_solution(_read(args.solution))
-    sol = solution_from_ids(inst, kind, ids)
-    out = canonicalize_bds(inst, meta, sol)
-    _write(args.out, serialize_solution(out, 1))
+    inst, meta, sol = _load_bridge(args)
+    _write(args.out, serialize_solution(canonicalize_bds(inst, meta, sol), 1))
     return EXIT_OK
 
 
@@ -263,27 +226,18 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    out = None
-    opened = None
+    report = {"command": "bench", "suite": args.suite}
     if args.out:
-        opened = open(args.out, "w", newline="", encoding="utf-8")
-        out = opened
+        sink = open(args.out, "w", newline="", encoding="utf-8")
     else:
-        out = sys.stdout
-    try:
+        sink = nullcontext(sys.stdout)
+    with sink as out:
         if args.suite == "quality":
             rows = bench_mod.run_quality_suite(
-                count=args.count,
-                n=args.n,
-                k=args.k,
-                b=args.b,
-                seed=args.seed,
-                reps=args.reps,
-                jobs=args.jobs,
-                out=out,
+                count=args.count, n=args.n, k=5 if args.k is None else args.k, b=args.b,
+                seed=args.seed, reps=args.reps, jobs=args.jobs, out=out,
             )
-            summary = bench_mod.quality_summary(rows)
-            report = {"command": "bench", "suite": "quality", "mean_ratio": summary}
+            report["mean_ratio"] = bench_mod.quality_summary(rows)
         else:
             sizes = (
                 tuple(int(s) for s in args.sizes.split(","))
@@ -291,35 +245,21 @@ def _cmd_bench(args) -> int:
                 else bench_mod.DP_SCALING_SIZES
             )
             rows = bench_mod.run_dp_scaling_suite(
-                sizes=sizes, k=args.k, f=args.f, seed=args.seed, reps=args.reps, out=out
+                sizes=sizes, k=4 if args.k is None else args.k, f=args.f,
+                seed=args.seed, reps=args.reps, out=out,
             )
-            report = {
-                "command": "bench",
-                "suite": "dp-scaling",
-                "doubling_ratios": bench_mod.doubling_ratios(rows),
-            }
-        if args.json:
-            print(json.dumps(report), file=sys.stderr if args.out is None else sys.stdout)
-        else:
-            print(json.dumps(report), file=sys.stderr)
-    finally:
-        if opened is not None:
-            opened.close()
+            report["doubling_ratios"] = bench_mod.doubling_ratios(rows)
+    report_to_stdout = args.json and args.out is not None
+    print(json.dumps(report), file=sys.stdout if report_to_stdout else sys.stderr)
     return EXIT_OK
 
 
 def _cmd_oracle(args) -> int:
-    budget = OracleBudget(
-        max_subsets=args.max_subsets, max_assignments=args.max_assignments
-    )
+    budget = OracleBudget(max_subsets=args.max_subsets, max_assignments=args.max_assignments)
     if args.problem == "sat":
         phi = parse_dimacs(_read(args.input))
         assignment = oracle_sat(phi, budget)
-        payload = {
-            "command": "oracle",
-            "problem": "sat",
-            "satisfiable": assignment is not None,
-        }
+        payload = {"command": "oracle", "problem": "sat", "satisfiable": assignment is not None}
         if assignment is not None:
             payload["assignment"] = {f"x{v}": int(val) for v, val in assignment.items()}
         if args.json:
@@ -331,23 +271,14 @@ def _cmd_oracle(args) -> int:
         return EXIT_OK if assignment is not None else EXIT_INFEASIBLE
     inst = parse_instance(_read(args.input))
     payload = {"command": "oracle", "problem": args.problem, "n": inst.n, "k": inst.k}
-    if args.problem == "bis":
-        sol = oracle_fbis(inst, args.f, budget)
-        f = args.f
-    elif args.problem == "bds":
-        sol = oracle_fbds(inst, args.f, budget)
-        f = args.f
-    else:
-        sol = oracle_mcis(inst, budget)
-        f = 1
+    if args.problem == "mcis":
+        sol, f = oracle_mcis(inst, budget), 1
         payload["colors"] = sol.distinct_colors
-    if sol is None:
-        payload["feasible"] = False
-        return _emit_infeasible(args, payload, "infeasible")
-    payload["feasible"] = True
-    payload["ids"] = sorted(sol.ids)
-    _emit_solution(args, sol, f, payload)
-    return EXIT_OK
+    else:
+        search = oracle_fbis if args.problem == "bis" else oracle_fbds
+        sol, f = search(inst, args.f, budget), args.f
+    payload["feasible"] = sol is not None
+    return _finish(args, payload, sol, f, "infeasible")
 
 
 def build_parser() -> _Parser:
@@ -386,26 +317,17 @@ def build_parser() -> _Parser:
     reduce_p.add_argument("--json", action="store_true")
     reduce_p.set_defaults(func=_cmd_reduce)
 
-    decode = sub.add_parser("decode", help="solution of a reduced instance -> assignment")
-    decode.add_argument("--instance", required=True)
-    decode.add_argument("--meta", required=True)
-    decode.add_argument("--solution", required=True)
-    decode.add_argument("--out")
-    decode.set_defaults(func=_cmd_decode)
-
-    encode = sub.add_parser("encode", help="satisfying assignment -> solution file")
-    encode.add_argument("--instance", required=True)
-    encode.add_argument("--meta", required=True)
-    encode.add_argument("--assignment", required=True)
-    encode.add_argument("--out")
-    encode.set_defaults(func=_cmd_encode)
-
-    canon = sub.add_parser("canonicalize", help="rewrite a domset solution to canonical form")
-    canon.add_argument("--instance", required=True)
-    canon.add_argument("--meta", required=True)
-    canon.add_argument("--solution", required=True)
-    canon.add_argument("--out")
-    canon.set_defaults(func=_cmd_canonicalize)
+    for name, help, source, func in (
+        ("decode", "solution of a reduced instance -> assignment", "--solution", _cmd_decode),
+        ("encode", "satisfying assignment -> solution file", "--assignment", _cmd_encode),
+        ("canonicalize", "rewrite a domset solution to canonical form", "--solution",
+         _cmd_canonicalize),
+    ):
+        bridge = sub.add_parser(name, help=help)
+        for flag in ("--instance", "--meta", source):
+            bridge.add_argument(flag, required=True)
+        bridge.add_argument("--out")
+        bridge.set_defaults(func=func)
 
     gen = sub.add_parser("gen", help="generate a seeded instance")
     gen.add_argument("--model", choices=MODELS, default="uniform-random")
@@ -453,8 +375,6 @@ def run_cli(argv: list[str]) -> int:
         args = parser.parse_args(argv)
         if args.command == "oracle" and not args.dev:
             raise _UsageError("oracle is a dev tool; pass --dev to confirm")
-        if args.command == "bench" and args.k is None:
-            args.k = 5 if args.suite == "quality" else 4
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

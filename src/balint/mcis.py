@@ -29,8 +29,6 @@ NEIGHBOR_BUDGET = 10**9
 @dataclass(frozen=True)
 class LocalSearchConfig:
     b: int = 2
-    max_rounds: int | None = None
-    seed_with_greedy: bool = True
     neighbor_budget: int = NEIGHBOR_BUDGET
 
 
@@ -56,10 +54,15 @@ def _greedy_ids(view: SortedView) -> list[int]:
 def _guard_budget(n: int, b: int, budget: int) -> None:
     if b < 1:
         raise ValueError("b must be >= 1")
-    if n ** (2 * b) > budget:
-        raise GuardError(
-            f"n^(2b) = {n ** (2 * b)} neighbor evaluations exceeds budget {budget}"
-        )
+    # n^(2b) >= 2^(2b(bits(n)-1)), which exceeds the budget once that exponent
+    # reaches the budget's bit length: refuse without building the power.
+    if n > 1 and 2 * b * (n.bit_length() - 1) >= max(budget.bit_length(), 1):
+        work = f"{n}^{2 * b}"
+    elif n ** (2 * b) > budget:
+        work = n ** (2 * b)
+    else:
+        return
+    raise GuardError(f"n^(2b) = {work} neighbor evaluations exceeds budget {budget}")
 
 
 def _improving_neighbor(
@@ -126,15 +129,10 @@ def local_search_mcis(
     _guard_budget(inst.n, cfg.b, cfg.neighbor_budget)
     view = build_sorted_view(inst)
     masks = neighborhood_masks(inst, view)
-    if cfg.seed_with_greedy:
-        current = frozenset(_greedy_ids(view))
-    else:
-        current = frozenset()
+    current = frozenset(_greedy_ids(view))
     rounds = 0
     counter = [0]
     while len(current) < inst.k:
-        if cfg.max_rounds is not None and rounds >= cfg.max_rounds:
-            break
         nxt = _improving_neighbor(inst, masks, current, cfg.b, counter)
         if nxt is None:
             break

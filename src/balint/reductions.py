@@ -16,17 +16,19 @@ dominating set iff the formula is satisfiable.
 
 A GadgetMetadata sidecar records the role of every interval, the per-variable
 vertex ids and clause incidences, and the source formula, so solutions can be
-decoded to assignments and assignments encoded back to solutions.
+decoded to assignments and assignments encoded back to solutions.  Every
+bridge first checks that the metadata is of its kind and matches the
+instance, so mismatched files fail with ValueError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-from .bds import canonicalize_bds
 from .cnf import CnfFormula, is_three_bounded, is_tptn
 from .model import (
     ColoredIntervalInstance,
+    FormatError,
     Interval,
     SolutionSet,
     build_sorted_view,
@@ -91,6 +93,15 @@ class VariableGadget:
 
 ROLE_TYPES = {"occurrence": OccurrenceRole, "var": HubRole, "clause": ClauseRole}
 ROLE_TAGS = {cls: tag for tag, cls in ROLE_TYPES.items()}
+# (name, JSON type) of each record's constructor fields; tuple means a tuple of ints
+_JSON_FIELDS = {
+    cls: tuple(
+        (f.name, {"int": int, "bool": bool, "str": str}.get(f.type, tuple))
+        for f in fields(cls)
+        if f.init
+    )
+    for cls in (*ROLE_TYPES.values(), VariableGadget)
+}
 
 
 def _to_json(obj) -> dict:
@@ -102,13 +113,38 @@ def _to_json(obj) -> dict:
     return {f.name: value(getattr(obj, f.name)) for f in fields(obj) if f.init}
 
 
-def _from_json(cls, data: dict):
-    """Inverse of _to_json: read cls's constructor fields, lists become tuples."""
+def _from_json(cls, data):
+    """Inverse of _to_json: read cls's constructor fields, lists become tuples.
+    Raises FormatError on a missing field or a value of the wrong JSON type."""
+    if not isinstance(data, dict):
+        raise FormatError(f"metadata: {cls.__name__} entry must be an object")
+    values = {}
+    for name, kind in _JSON_FIELDS[cls]:
+        value = data.get(name)
+        if kind is tuple and isinstance(value, list) and all(type(x) is int for x in value):
+            value = tuple(value)
+        if type(value) is not kind:
+            raise FormatError(f"metadata: {cls.__name__}.{name} must be {kind.__name__}")
+        values[name] = value
+    return cls(**values)
 
-    def value(v):
-        return tuple(value(x) for x in v) if isinstance(v, list) else v
 
-    return cls(**{f.name: value(data[f.name]) for f in fields(cls) if f.init})
+def _entries(data: dict, key: str) -> dict[int, object]:
+    """The object under data[key] with its keys read as integers."""
+    entries = data.get(key, {})
+    if not isinstance(entries, dict):
+        raise FormatError(f"metadata: {key} must be an object")
+    try:
+        return {int(id): entry for id, entry in entries.items()}
+    except ValueError:
+        raise FormatError(f"metadata: {key} keys must be integers") from None
+
+
+def _role(entry):
+    tag = entry.get("type") if isinstance(entry, dict) else None
+    if not isinstance(tag, str) or tag not in ROLE_TYPES:
+        raise FormatError(f"metadata: role type must be one of {', '.join(ROLE_TYPES)}")
+    return _from_json(ROLE_TYPES[tag], entry)
 
 
 @dataclass(frozen=True)
@@ -150,23 +186,57 @@ class GadgetMetadata:
         return data
 
     @staticmethod
-    def from_json_dict(data: dict) -> "GadgetMetadata":
-        roles = {
-            int(id): _from_json(ROLE_TYPES[entry["type"]], entry)
-            for id, entry in data.get("roles", {}).items()
-        }
-        gadgets = {
-            int(var): _from_json(VariableGadget, g)
-            for var, g in data.get("variable_gadgets", {}).items()
-        }
+    def from_json_dict(data) -> "GadgetMetadata":
+        """Inverse of to_json_dict; raises FormatError on a malformed shape."""
+        if not isinstance(data, dict):
+            raise FormatError("metadata must be a JSON object")
+        if data.get("kind") not in ("indset", "domset"):
+            raise FormatError("metadata: kind must be 'indset' or 'domset'")
+        num_vars, clauses = data.get("num_vars"), data.get("clauses")
+        if type(num_vars) is not int or num_vars < 0:
+            raise FormatError("metadata: num_vars must be an integer >= 0")
+        if not isinstance(clauses, list) or not all(
+            isinstance(c, list) and all(type(lit) is int for lit in c) for c in clauses
+        ):
+            raise FormatError("metadata: clauses must be lists of integers")
         return GadgetMetadata(
             kind=data["kind"],
-            num_vars=data["num_vars"],
-            clauses=tuple(tuple(c) for c in data["clauses"]),
-            roles=roles,
-            variable_gadgets=gadgets,
+            num_vars=num_vars,
+            clauses=tuple(tuple(c) for c in clauses),
+            roles={id: _role(entry) for id, entry in _entries(data, "roles").items()},
+            variable_gadgets={
+                var: _from_json(VariableGadget, g)
+                for var, g in _entries(data, "variable_gadgets").items()
+            },
         )
 
+
+def _check_metadata(inst: ColoredIntervalInstance, meta: GadgetMetadata, kind: str) -> None:
+    """Raise ValueError unless meta describes a `kind` reduction of inst: one
+    role of that reduction per interval id, each naming a variable in
+    x1..x<num_vars>, and (domset) one gadget of interval ids per variable."""
+    if meta.kind != kind:
+        article = "an independent" if kind == "indset" else "a dominating"
+        raise ValueError(f"metadata does not describe {article}-set reduction")
+    roles = meta.roles.values()
+    types = {OccurrenceRole} if kind == "indset" else {HubRole, ClauseRole}
+    if (
+        meta.roles.keys() != set(range(inst.n))
+        or not {type(role) for role in roles} <= types
+        or not all(1 <= var <= meta.num_vars for var in {role.variable for role in roles})
+    ):
+        raise ValueError(f"metadata roles do not match the {inst.n} intervals of the instance")
+    gadgets = meta.variable_gadgets
+    if kind == "domset" and (
+        len(gadgets) != meta.num_vars
+        or gadgets.keys() != set(range(1, meta.num_vars + 1))
+        or not all(
+            0 <= id < inst.n
+            for g in gadgets.values()
+            for id in (g.t1, g.t2, g.f1, g.f2, g.h_t, g.h_f, g.c_t1, g.c_t2, g.c_f1, g.c_f2)
+        )
+    ):
+        raise ValueError("metadata variable gadgets do not match the instance")
 
 class _Builder:
     """Accumulates intervals component by component, spacing components apart."""
@@ -303,8 +373,7 @@ def decode_indset(
 ) -> dict[int, bool]:
     """Read an assignment off a valid 1-balanced independent set: a variable is
     true iff one of its positive-occurrence intervals was selected."""
-    if meta.kind != "indset":
-        raise ValueError("metadata does not describe an independent-set reduction")
+    _check_metadata(inst, meta, "indset")
     verdict = verify_solution(inst, sol, 1)
     if not verdict.valid:
         raise ValueError(f"solution is not a valid 1-balanced independent set: {verdict.reason}")
@@ -321,14 +390,16 @@ def encode_indset_solution(
 ) -> SolutionSet:
     """Pick, per clause, the interval of its first true literal.  Raises
     ValueError when the assignment leaves a clause unsatisfied."""
-    if meta.kind != "indset":
-        raise ValueError("metadata does not describe an independent-set reduction")
+    _check_metadata(inst, meta, "indset")
     ids = []
     for j, clause in enumerate(meta.clauses, start=1):
         chosen = None
         for lit in clause:
             if assignment.get(abs(lit), False) == (lit > 0):
-                chosen = meta.occurrence_id(abs(lit), j)
+                try:
+                    chosen = meta.occurrence_id(abs(lit), j)
+                except KeyError as exc:
+                    raise ValueError(f"metadata has {exc.args[0]}") from None
                 break
         if chosen is None:
             raise ValueError(f"assignment does not satisfy clause {j}")
@@ -353,8 +424,7 @@ def encode_domset_solution(
 ) -> SolutionSet:
     """Canonical dominating set of a satisfying assignment: per true variable
     {h_t, f1, f2, c_t1, c_t2}, per false variable {h_f, t1, t2, c_f1, c_f2}."""
-    if meta.kind != "domset":
-        raise ValueError("metadata does not describe a dominating-set reduction")
+    _check_metadata(inst, meta, "domset")
     for j, clause in enumerate(meta.clauses, start=1):
         if not any(assignment.get(abs(lit), False) == (lit > 0) for lit in clause):
             raise ValueError(f"assignment does not satisfy clause {j}")
@@ -365,4 +435,41 @@ def encode_domset_solution(
             ids.extend([g.h_t, g.f1, g.f2, g.c_t1, g.c_t2])
         else:
             ids.extend([g.h_f, g.t1, g.t2, g.c_f1, g.c_f2])
+    return verified_solution(inst, "BDS", ids, 1)
+
+
+def canonicalize_bds(
+    inst: ColoredIntervalInstance, meta: GadgetMetadata, sol: SolutionSet
+) -> SolutionSet:
+    """Rewrite a valid 1-balanced dominating set of a reduced instance into the
+    canonical per-variable form.
+
+    For each variable, a valid balanced solution contains exactly one of the
+    two hub vertices.  With the true hub in, both false-side leaves are forced
+    in and the true-side leaves can be traded for that variable's positive
+    clause vertices without breaking balance or domination; symmetrically for
+    the false hub.  Variables are processed in index order; the result is
+    unchanged by a second pass.
+    """
+    _check_metadata(inst, meta, "domset")
+    verdict = verify_solution(inst, sol, 1)
+    if not verdict.valid:
+        raise ValueError(f"solution is not a valid 1-balanced dominating set: {verdict.reason}")
+    ids = set(sol.ids)
+    for var in sorted(meta.variable_gadgets):
+        g = meta.variable_gadgets[var]
+        if g.h_t in ids:
+            ids.discard(g.t1)
+            ids.discard(g.t2)
+            ids.add(g.c_t1)
+            ids.add(g.c_t2)
+        elif g.h_f in ids:
+            ids.discard(g.f1)
+            ids.discard(g.f2)
+            ids.add(g.c_f1)
+            ids.add(g.c_f2)
+        else:
+            raise ValueError(
+                f"metadata inconsistent with solution: variable x{var} has no hub vertex"
+            )
     return verified_solution(inst, "BDS", ids, 1)

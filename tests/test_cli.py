@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -309,6 +310,35 @@ def test_bad_inputs_exit_one(tmp_path, capsys):
     inst = tmp_path / "inst.txt"
     inst.write_text(INSTANCE)
     assert run(["solve", "bis", "--f", "0", str(inst)], capsys)[0] == 1
+
+
+def test_mismatched_metadata_exits_one(inst_file, capsys, tmp_path):
+    meta = tmp_path / "meta.json"
+    meta.write_text('{"kind": "domset", "num_vars": 1, "clauses": []}')
+    sol = tmp_path / "sol.txt"
+    sol.write_text("kind=BDS f=1\n0\n2\n")
+    code, out, err = run(
+        ["canonicalize", "--instance", inst_file, "--meta", str(meta), "--solution", str(sol)],
+        capsys,
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: metadata roles do not match")
+    meta.write_text('{"kind": "domset", "roles": []}')
+    code, _, err = run(
+        ["decode", "--instance", inst_file, "--meta", str(meta), "--solution", str(sol)], capsys
+    )
+    assert code == 1
+    assert err.startswith("error: metadata: num_vars")
+
+
+def test_huge_swap_radius_is_refused_quickly(inst_file, capsys):
+    start = perf_counter()
+    code, _, err = run(
+        ["solve", "mcis", "--method", "local", "--b", "1000000000", inst_file], capsys
+    )
+    assert perf_counter() - start < 1
+    assert code == 1
+    assert err == "error: n^(2b) = 3^2000000000 neighbor evaluations exceeds budget 1000000000\n"
 
 
 def test_failed_verification_exits_one(inst_file, capsys, monkeypatch):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from balint import (
     ColoredIntervalInstance,
@@ -15,6 +15,7 @@ from balint import (
     oracle_mcis,
     verify_solution,
 )
+from balint.mcis import _guard_budget
 from helpers import build_instance, instances
 
 ADVERSARIAL = [(0, 2, 1), (1, 4, 2), (5, 6, 1)]
@@ -85,18 +86,6 @@ def test_local_search_b2_escapes_to_optimum():
     assert stats["neighbors_evaluated"] > 0
 
 
-def test_local_search_from_empty_seed():
-    inst = build_instance(2, ADVERSARIAL)
-    sol = local_search_mcis(inst, LocalSearchConfig(b=2, seed_with_greedy=False))
-    assert sol.distinct_colors == 2
-
-
-def test_local_search_max_rounds_zero_returns_seed():
-    inst = build_instance(2, ADVERSARIAL)
-    sol = local_search_mcis(inst, LocalSearchConfig(b=2, max_rounds=0))
-    assert sol.ids == greedy_mcis(inst).ids
-
-
 def test_local_search_budget_guard():
     inst = build_instance(2, [(i, i + 1, 1 + i % 2) for i in range(40)])
     with pytest.raises(GuardError):
@@ -141,6 +130,20 @@ def test_local_optimality_check_budget_guard():
     sol = greedy_mcis(inst)
     with pytest.raises(GuardError):
         is_b_locally_optimal(inst, sol, 2, budget=10**6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(0, 300),
+    b=st.integers(1, 8),
+    budget=st.integers(-3, 10**9) | st.integers(-3, 10**40),
+)
+def test_budget_guard_refuses_iff_power_exceeds_budget(n, b, budget):
+    if n ** (2 * b) > budget:
+        with pytest.raises(GuardError):
+            _guard_budget(n, b, budget)
+    else:
+        _guard_budget(n, b, budget)
 
 
 def test_chained_adversarial_blocks_keep_half_ratio():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -8,7 +9,9 @@ import pytest
 from balint import (
     CnfFormula,
     ColoredIntervalInstance,
+    FormatError,
     GadgetMetadata,
+    canonicalize_bds,
     decode_domset,
     decode_indset,
     encode_domset_solution,
@@ -267,6 +270,45 @@ def test_decoders_reject_mismatched_metadata():
     sol_i = solve_fbis_dp(inst_i, 1)
     with pytest.raises(ValueError):
         decode_domset(inst_i, meta_i, sol_i)
+
+
+def test_bridges_reject_metadata_that_does_not_match_the_instance():
+    inst_d, meta_d = reduce_domset(TPTN)
+    sol_d = solve_fbds_brute(inst_d, 1)
+    inst_i, meta_i = reduce_indset(EDGE_FORMULA)
+    bare = GadgetMetadata(kind="domset", num_vars=1, clauses=())
+    with pytest.raises(ValueError, match="roles"):
+        canonicalize_bds(inst_i, bare, solve_fbis_dp(inst_i, 1))
+    with pytest.raises(ValueError, match="roles"):
+        decode_domset(inst_d, replace(meta_d, roles=dict(list(meta_d.roles.items())[1:])), sol_d)
+    with pytest.raises(ValueError, match="gadgets"):
+        encode_domset_solution(inst_d, replace(meta_d, variable_gadgets={}), {1: True})
+    with pytest.raises(ValueError, match="no occurrence of x1 in clause 3"):
+        encode_indset_solution(
+            inst_i, replace(meta_i, clauses=meta_i.clauses + ((1, 2),)), {1: True, 2: True}
+        )
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [],
+        {"num_vars": 1, "clauses": []},
+        {"kind": "indset", "num_vars": "1", "clauses": []},
+        {"kind": "indset", "num_vars": 1, "clauses": [[1, "2"]]},
+        {"kind": "indset", "num_vars": 1, "clauses": [], "roles": []},
+        {"kind": "indset", "num_vars": 1, "clauses": [], "roles": {"a": {}}},
+        {"kind": "indset", "num_vars": 1, "clauses": [], "roles": {"0": {"type": ["x"]}}},
+        {"kind": "indset", "num_vars": 1, "clauses": [],
+         "roles": {"0": {"type": "occurrence", "variable": 1, "clause": 1}}},
+        {"kind": "indset", "num_vars": 1, "clauses": [],
+         "roles": {"0": {"type": "occurrence", "variable": 1, "clause": 1, "positive": 1}}},
+        {"kind": "domset", "num_vars": 1, "clauses": [], "variable_gadgets": {"1": {"t1": 0}}},
+    ],
+)
+def test_metadata_json_rejects_malformed_shape(data):
+    with pytest.raises(FormatError):
+        GadgetMetadata.from_json_dict(data)
 
 
 def test_metadata_json_round_trip():
