@@ -101,9 +101,10 @@ def _finish(args, payload: dict, sol, f: int, infeasible_message: str) -> int:
 def _cmd_solve(args) -> int:
     inst = parse_instance(_read(args.instance))
     payload: dict = {"command": "solve", "problem": args.problem, "n": inst.n, "k": inst.k}
-    maximize = args.problem == "bis" and args.maximize
     if args.problem != "bds":
         payload["method"] = args.method
+    if args.problem == "bis" and args.maximize:
+        return _solve_max_f(args, inst, payload)
     # Solvers are looked up by their module-global names when the command runs.
     if args.problem == "mcis":
         f = 1
@@ -112,9 +113,6 @@ def _cmd_solve(args) -> int:
         else:
             cfg = LocalSearchConfig(b=args.b, neighbor_budget=args.budget)
             solve = lambda stats: local_search_mcis(inst, cfg, stats)
-    elif maximize:
-        payload["max_f"] = None  # keeps its place ahead of the timing; stats fill it
-        solve = lambda stats: max_f_with_witness(inst, stats)[1]
     else:
         if args.problem == "bds":
             solver = solve_fbds_brute
@@ -126,17 +124,26 @@ def _cmd_solve(args) -> int:
     start = perf_counter()
     sol = solve(stats)
     payload.update(wall_time_s=perf_counter() - start, **stats)
-    if maximize:
-        f = payload["max_f"]
-        if sol is None:
-            payload["ids"] = []
-            print(json.dumps(payload) if args.json else f"max f = {f}")
-            return EXIT_OK
     noun = "dominating" if args.problem == "bds" else "independent"
-    code = _finish(args, payload, sol, f, f"infeasible: no {f}-balanced {noun} set")
-    if maximize and not args.json and args.out is None:
-        print(f"# max f = {f}", file=sys.stderr)
-    return code
+    return _finish(args, payload, sol, f, f"infeasible: no {f}-balanced {noun} set")
+
+
+def _solve_max_f(args, inst, payload: dict) -> int:
+    """solve bis --maximize: the largest feasible f, with its witness if f >= 1."""
+    stats: dict = {}
+    start = perf_counter()
+    best, sol = max_f_with_witness(inst, stats)
+    payload.update(
+        max_f=best, wall_time_s=perf_counter() - start, peak_states=stats.get("peak_states", 0)
+    )
+    if sol is None:
+        payload["ids"] = []
+        print(json.dumps(payload) if args.json else f"max f = {best}")
+        return EXIT_OK
+    _finish(args, payload, sol, best, "")
+    if not args.json and args.out is None:
+        print(f"# max f = {best}", file=sys.stderr)
+    return EXIT_OK
 
 
 def _load_solution(inst, path: str):
@@ -186,33 +193,24 @@ def _cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def _load_bridge(args):
-    """The instance and metadata of a bridge command, and its solution when it
-    takes one (None otherwise)."""
+def _cmd_bridge(args) -> int:
+    """decode, encode and canonicalize: read the instance and the metadata,
+    then the command's solution or assignment, and write the result."""
     inst = parse_instance(_read(args.instance))
     meta = GadgetMetadata.from_json_dict(json.loads(_read(args.meta)))
-    sol = _load_solution(inst, args.solution)[0] if "solution" in vars(args) else None
-    return inst, meta, sol
-
-
-def _cmd_decode(args) -> int:
-    inst, meta, sol = _load_bridge(args)
-    decode = decode_indset if meta.kind == "indset" else decode_domset
-    _write(args.out, serialize_assignment(decode(inst, meta, sol)))
-    return EXIT_OK
-
-
-def _cmd_encode(args) -> int:
-    inst, meta, _ = _load_bridge(args)
-    assignment = parse_assignment(_read(args.assignment))
-    encode = encode_indset_solution if meta.kind == "indset" else encode_domset_solution
-    _write(args.out, serialize_solution(encode(inst, meta, assignment), 1))
-    return EXIT_OK
-
-
-def _cmd_canonicalize(args) -> int:
-    inst, meta, sol = _load_bridge(args)
-    _write(args.out, serialize_solution(canonicalize_bds(inst, meta, sol), 1))
+    indset = meta.kind == "indset"
+    if args.command == "encode":
+        assignment = parse_assignment(_read(args.assignment))
+        encode = encode_indset_solution if indset else encode_domset_solution
+        text = serialize_solution(encode(inst, meta, assignment), 1)
+    else:
+        sol = _load_solution(inst, args.solution)[0]
+        if args.command == "decode":
+            decode = decode_indset if indset else decode_domset
+            text = serialize_assignment(decode(inst, meta, sol))
+        else:
+            text = serialize_solution(canonicalize_bds(inst, meta, sol), 1)
+    _write(args.out, text)
     return EXIT_OK
 
 
@@ -317,17 +315,16 @@ def build_parser() -> _Parser:
     reduce_p.add_argument("--json", action="store_true")
     reduce_p.set_defaults(func=_cmd_reduce)
 
-    for name, help, source, func in (
-        ("decode", "solution of a reduced instance -> assignment", "--solution", _cmd_decode),
-        ("encode", "satisfying assignment -> solution file", "--assignment", _cmd_encode),
-        ("canonicalize", "rewrite a domset solution to canonical form", "--solution",
-         _cmd_canonicalize),
+    for name, help, source in (
+        ("decode", "solution of a reduced instance -> assignment", "--solution"),
+        ("encode", "satisfying assignment -> solution file", "--assignment"),
+        ("canonicalize", "rewrite a domset solution to canonical form", "--solution"),
     ):
         bridge = sub.add_parser(name, help=help)
         for flag in ("--instance", "--meta", source):
             bridge.add_argument(flag, required=True)
         bridge.add_argument("--out")
-        bridge.set_defaults(func=func)
+        bridge.set_defaults(func=_cmd_bridge)
 
     gen = sub.add_parser("gen", help="generate a seeded instance")
     gen.add_argument("--model", choices=MODELS, default="uniform-random")

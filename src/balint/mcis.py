@@ -9,6 +9,7 @@ re-check used by the tests.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -24,6 +25,9 @@ from .model import (
 )
 
 NEIGHBOR_BUDGET = 10**9
+# A refused n^(2b) of at most about this many bits is printed in full (it has
+# under twice as many); larger ones print as n^2b.
+_EXACT_WORK_BITS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -54,14 +58,16 @@ def _greedy_ids(view: SortedView) -> list[int]:
 def _guard_budget(n: int, b: int, budget: int) -> None:
     if b < 1:
         raise ValueError("b must be >= 1")
-    # n^(2b) >= 2^(2b(bits(n)-1)), which exceeds the budget once that exponent
-    # reaches the budget's bit length: refuse without building the power.
-    if n > 1 and 2 * b * (n.bit_length() - 1) >= max(budget.bit_length(), 1):
-        work = f"{n}^{2 * b}"
-    elif n ** (2 * b) > budget:
-        work = n ** (2 * b)
-    else:
+    exponent = 2 * b
+    # n >= 2^(bits(n)-1), so n^(2b) > budget once 2b(bits(n)-1) reaches the
+    # budget's bit length; short of that, n^(2b) has under twice its bits.
+    provably_over = n > 1 and exponent * (n.bit_length() - 1) >= budget.bit_length()
+    if not provably_over and n ** exponent <= budget:
         return
+    work = f"{n}^{exponent}"
+    if exponent * (n.bit_length() - 1) <= _EXACT_WORK_BITS:
+        with suppress(ValueError):  # past the interpreter's int-to-str digit limit
+            work = str(n ** exponent)
     raise GuardError(f"n^(2b) = {work} neighbor evaluations exceeds budget {budget}")
 
 

@@ -93,13 +93,13 @@ class VariableGadget:
 
 ROLE_TYPES = {"occurrence": OccurrenceRole, "var": HubRole, "clause": ClauseRole}
 ROLE_TAGS = {cls: tag for tag, cls in ROLE_TYPES.items()}
-# (name, JSON type) of each record's constructor fields; tuple means a tuple of ints
+
+# The JSON type read for each record field annotation; tuple means a tuple of
+# ints.  A field of any other type fails here, at import, with a KeyError.
+_JSON_TYPES = {"int": int, "bool": bool, "str": str, "tuple[int, int]": tuple}
+# (name, JSON type) of each record's constructor fields
 _JSON_FIELDS = {
-    cls: tuple(
-        (f.name, {"int": int, "bool": bool, "str": str}.get(f.type, tuple))
-        for f in fields(cls)
-        if f.init
-    )
+    cls: tuple((f.name, _JSON_TYPES[f.type]) for f in fields(cls) if f.init)
     for cls in (*ROLE_TYPES.values(), VariableGadget)
 }
 

@@ -34,6 +34,8 @@ FILES = {
     "unsat.cnf": "p cnf 1 2\n1 0\n-1 0\n",
     "asg.txt": "x1=0\nx2=1\n",
     "garbage.txt": "not an instance\n",
+    "empty.txt": "n=0 k=0\n",
+    "wide.txt": "n=256 k=2\n" + "".join(f"{i} {2 * i} {2 * i} {i % 2 + 1}\n" for i in range(256)),
 }
 
 CASES: list[list[str]] = [
@@ -52,6 +54,8 @@ CASES: list[list[str]] = [
     ["solve", "bis", "--maximize", "--out", "max.txt", "six.txt"],
     ["solve", "bis", "--maximize", "empty_color.txt"],
     ["solve", "bis", "--maximize", "--json", "empty_color.txt"],
+    ["solve", "bis", "--maximize", "empty.txt"],
+    ["solve", "bis", "--maximize", "--json", "empty.txt"],
     ["solve", "bis", "--f", "0", "inst.txt"],
     ["solve", "mcis", "inst.txt"],
     ["solve", "mcis", "--json", "six.txt"],
@@ -59,6 +63,8 @@ CASES: list[list[str]] = [
     ["solve", "mcis", "--method", "local", "--out", "local.txt", "six.txt"],
     ["solve", "mcis", "--method", "local", "--b", "0", "inst.txt"],
     ["solve", "mcis", "--method", "local", "--budget", "1000", "six.txt"],
+    ["solve", "mcis", "--method", "local", "wide.txt"],
+    ["solve", "mcis", "--method", "local", "--b", "7000", "empty_color.txt"],
     ["solve", "bds", "--f", "1", "inst.txt"],
     ["solve", "bds", "--f", "1", "--json", "six.txt"],
     ["solve", "bds", "--f", "2", "inst.txt"],

@@ -140,7 +140,8 @@ def test_local_optimality_check_budget_guard():
 )
 def test_budget_guard_refuses_iff_power_exceeds_budget(n, b, budget):
     if n ** (2 * b) > budget:
-        with pytest.raises(GuardError):
+        # a power this small is printed in full
+        with pytest.raises(GuardError, match=f"= {n ** (2 * b)} neighbor"):
             _guard_budget(n, b, budget)
     else:
         _guard_budget(n, b, budget)
