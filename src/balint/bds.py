@@ -54,10 +54,7 @@ def solve_fbds_brute(
     """
     if f < 1:
         raise ValueError("f must be >= 1")
-    classes = sorted(
-        ([iv.id for iv in ivs] for ivs in inst.color_classes().values()),
-        key=lambda ids: (len(ids), ids),
-    )
+    classes = sorted(inst.color_class_ids(), key=lambda ids: (len(ids), ids))
     total = 1
     for ids in classes:
         total *= comb(len(ids), f)

@@ -94,9 +94,9 @@ def _timed(fn, reps: int):
 
 
 def _quality_task(args) -> list[BenchRow]:
-    n, k, b, seed, reps = args
-    inst = generate(GenSpec(n=n, k=k, seed=seed, model="uniform-random"))
-    name = f"uniform-n{n}-k{k}-s{seed}"
+    spec, b, reps = args
+    inst = generate(spec)
+    name = f"uniform-n{spec.n}-k{spec.k}-s{spec.seed}"
     optimum = oracle_mcis(inst).distinct_colors
     rows = []
     greedy, greedy_time = _timed(lambda: greedy_mcis(inst), reps)
@@ -136,8 +136,12 @@ def run_quality_suite(
 ) -> list[BenchRow]:
     """Color-count quality of greedy and b-swap local search against the oracle
     optimum on small uniform-random instances."""
+    # the specs check n and k before the sink writes the CSV header
+    tasks = [
+        (GenSpec(n=n, k=k, seed=seed + i, model="uniform-random"), b, reps)
+        for i in range(count)
+    ]
     sink = _RowSink(out)
-    tasks = [(n, k, b, seed + i, reps) for i in range(count)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for rows in pool.map(_quality_task, tasks):
@@ -171,9 +175,10 @@ def run_dp_scaling_suite(
 
     The per-size instance is generated once; the solve call is timed reps
     times and the median reported.  Time should grow about linearly in n."""
+    specs = [GenSpec(n=n, k=k, seed=seed + n, model="uniform-random") for n in sizes]
     sink = _RowSink(out)
-    for n in sizes:
-        inst = generate(GenSpec(n=n, k=k, seed=seed + n, model="uniform-random"))
+    for spec in specs:
+        inst = generate(spec)
         stats: dict = {}
 
         def solve():
@@ -183,7 +188,7 @@ def run_dp_scaling_suite(
         sol, seconds = _timed(solve, reps)
         sink.add(
             BenchRow(
-                instance=f"uniform-n{n}-k{k}-s{seed + n}",
+                instance=f"uniform-n{spec.n}-k{k}-s{spec.seed}",
                 n=inst.n,
                 k=inst.k,
                 param=f"f={f}",

@@ -79,20 +79,26 @@ def _write(path: str | None, text: str) -> None:
 
 def _finish(args, payload: dict, sol, f: int, infeasible_message: str) -> int:
     """Write the verified solution and/or the JSON payload, or report infeasible."""
-    if sol is None:
-        if args.json:
-            print(json.dumps(payload))
-        else:
-            print(infeasible_message, file=sys.stderr)
-        return EXIT_INFEASIBLE
-    payload["ids"] = sorted(sol.ids)
-    text = serialize_solution(sol, f)
+    text = None
+    if sol is not None:
+        payload["ids"] = sorted(sol.ids)
+        text = serialize_solution(sol, f)
+    return _emit(args, payload, text, "solution", infeasible_message)
+
+
+def _emit(args, payload: dict, text: str | None, noun: str, infeasible_message: str) -> int:
+    """Print the JSON payload with --json, then write text to --out (or to
+    stdout without --json); text None reports infeasible."""
     if args.json:
         print(json.dumps(payload))
+    if text is None:
+        if not args.json:
+            print(infeasible_message, file=sys.stderr)
+        return EXIT_INFEASIBLE
     if args.out:
         _write(args.out, text)
         if not args.json:
-            print(f"solution written to {args.out}", file=sys.stderr)
+            print(f"{noun} written to {args.out}", file=sys.stderr)
     elif not args.json:
         sys.stdout.write(text)
     return EXIT_OK
@@ -258,15 +264,11 @@ def _cmd_oracle(args) -> int:
         phi = parse_dimacs(_read(args.input))
         assignment = oracle_sat(phi, budget)
         payload = {"command": "oracle", "problem": "sat", "satisfiable": assignment is not None}
+        text = None
         if assignment is not None:
             payload["assignment"] = {f"x{v}": int(val) for v, val in assignment.items()}
-        if args.json:
-            print(json.dumps(payload))
-        elif assignment is None:
-            print("unsatisfiable", file=sys.stderr)
-        else:
-            sys.stdout.write(serialize_assignment(assignment))
-        return EXIT_OK if assignment is not None else EXIT_INFEASIBLE
+            text = serialize_assignment(assignment)
+        return _emit(args, payload, text, "assignment", "unsatisfiable")
     inst = parse_instance(_read(args.input))
     payload = {"command": "oracle", "problem": args.problem, "n": inst.n, "k": inst.k}
     if args.problem == "mcis":

@@ -9,7 +9,7 @@ one to three literals), else ``general``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .model import FormatError
 
@@ -18,9 +18,15 @@ FLAVORS = ("tptn", "three_bounded", "general")
 
 @dataclass(frozen=True)
 class CnfFormula:
+    """A validated formula.  occurrence_lists[var] is occurrences(var) as a
+    pair of tuples (entry 0 is unused), computed once by build."""
+
     num_vars: int
     clauses: tuple[tuple[int, ...], ...]
     flavor: str
+    occurrence_lists: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = field(
+        compare=False, repr=False
+    )
 
     @staticmethod
     def build(num_vars: int, clauses) -> "CnfFormula":
@@ -43,40 +49,39 @@ class CnfFormula:
                     raise ValueError(f"clause {idx}: variable x{var} appears twice")
                 seen_vars.add(var)
             normalized.append(lits)
-        phi = CnfFormula(num_vars=num_vars, clauses=tuple(normalized), flavor="general")
+        table: list[tuple[list[int], list[int]]] = [([], []) for _ in range(num_vars + 1)]
+        for j, clause in enumerate(normalized, start=1):
+            for lit in clause:
+                table[abs(lit)][lit < 0].append(j)
+        phi = CnfFormula(
+            num_vars=num_vars,
+            clauses=tuple(normalized),
+            flavor="general",
+            occurrence_lists=tuple((tuple(pos), tuple(neg)) for pos, neg in table),
+        )
         if is_tptn(phi):
             return replace(phi, flavor="tptn")
         if is_three_bounded(phi):
             return replace(phi, flavor="three_bounded")
         return phi
 
-    def occurrence_lists(self) -> list[tuple[list[int], list[int]]]:
-        """occurrences(var) for every variable, indexed by var (entry 0 is
-        unused), built in one pass over the clauses."""
-        table: list[tuple[list[int], list[int]]] = [
-            ([], []) for _ in range(self.num_vars + 1)
-        ]
-        for j, clause in enumerate(self.clauses, start=1):
-            for lit in clause:
-                table[abs(lit)][lit < 0].append(j)
-        return table
-
     def occurrences(self, var: int) -> tuple[list[int], list[int]]:
         """(positive clause indices, negative clause indices), 1-based, ascending."""
-        return self.occurrence_lists()[var]
+        pos, neg = self.occurrence_lists[var]
+        return list(pos), list(neg)
 
 
 def is_three_bounded(phi: CnfFormula) -> bool:
     """Acceptable input for the independent-set reduction (includes the empty formula)."""
     return all(len(clause) in (2, 3) for clause in phi.clauses) and all(
-        len(pos) + len(neg) <= 3 for pos, neg in phi.occurrence_lists()[1:]
+        len(pos) + len(neg) <= 3 for pos, neg in phi.occurrence_lists[1:]
     )
 
 
 def is_tptn(phi: CnfFormula) -> bool:
     """Acceptable input for the dominating-set reduction (includes the empty formula)."""
     return all(1 <= len(clause) <= 3 for clause in phi.clauses) and all(
-        len(pos) == 2 and len(neg) == 2 for pos, neg in phi.occurrence_lists()[1:]
+        len(pos) == 2 and len(neg) == 2 for pos, neg in phi.occurrence_lists[1:]
     )
 
 

@@ -132,10 +132,7 @@ def max_f_with_witness(
         return 0, None
     k = inst.k
     view = build_sorted_view(inst)
-    cap = min(
-        min(len(ivs) for ivs in inst.color_classes().values()),
-        len(greedy_independent(view)) // k,
-    )
+    cap = min(min(map(len, inst.color_class_ids())), len(greedy_independent(view)) // k)
     if cap == 0:
         if stats is not None:
             stats.update(peak_states=0, max_f=0)
@@ -156,6 +153,6 @@ def max_f_with_witness(
     if best == 0:
         return 0, None
     ids = sorted(_reconstruct(view, levels, k, cap, (hits & -hits).bit_length() - 1))
-    classes = [[i for i in ids if inst.interval(i).color == c] for c in range(1, k + 1)]
+    classes = [[i for i in ids if inst.colors[i] == c] for c in range(1, k + 1)]
     trimmed = [id for members in classes for id in members[:best]]
     return best, verified_solution(inst, "BIS", trimmed, best)

@@ -118,9 +118,7 @@ def solve_fbis_vc(
             f"tau = {decomp.tau} exceeds {TAU_GUARD}; 2^tau enumeration refused "
             "(the vector DP handles this instance)"
         )
-    color_masks = [0] * inst.k
-    for iv in inst.intervals:
-        color_masks[iv.color - 1] |= 1 << iv.id
+    color_masks = [sum(1 << id for id in ids) for ids in inst.color_class_ids()]
     examined = 0
     for candidate in _candidate_masks(view, neighborhood_masks(inst, view), decomp):
         examined += 1

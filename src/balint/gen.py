@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .cnf import CnfFormula
-from .model import ColoredIntervalInstance, Interval
+from .model import ColoredIntervalInstance
 from .reductions import reduce_indset
 
 MODELS = ("uniform-random", "proper-unit", "greedy-adversarial", "sat-derived")
@@ -30,12 +30,14 @@ class GenSpec:
     model: str = "uniform-random"
     f_target: int | None = None
 
+    def __post_init__(self):
+        if self.model not in MODELS:
+            raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
+        if self.n < 0 or self.k < 1:
+            raise ValueError("need n >= 0 and k >= 1")
+
 
 def generate(spec: GenSpec) -> ColoredIntervalInstance:
-    if spec.model not in MODELS:
-        raise ValueError(f"model must be one of {MODELS}, got {spec.model!r}")
-    if spec.n < 0 or spec.k < 1:
-        raise ValueError("need n >= 0 and k >= 1")
     rng = Random(spec.seed)
     if spec.model == "uniform-random":
         return _uniform_random(spec.n, spec.k, rng, spec.f_target)
@@ -52,27 +54,27 @@ def _uniform_random(
     # with f_target, the first k*f_target intervals take round-robin colors so
     # every class is at least f_target large (when n allows); rest stay uniform
     span = 4 * n
-    intervals = []
+    lefts, rights, colors = [], [], []
     for id in range(n):
         a = rng.randint(0, span)
         b = rng.randint(0, span)
+        lefts.append(min(a, b))
+        rights.append(max(a, b))
         if f_target is not None and id < k * f_target:
-            color = id % k + 1
+            colors.append(id % k + 1)
         else:
-            color = rng.randint(1, k)
-        intervals.append(Interval(id=id, left=min(a, b), right=max(a, b), color=color))
-    return ColoredIntervalInstance(k=k, intervals=tuple(intervals))
+            colors.append(rng.randint(1, k))
+    return ColoredIntervalInstance.from_columns(k, lefts, rights, colors)
 
 
 def _proper_unit(n: int, k: int, rng: Random) -> ColoredIntervalInstance:
     span = 4 * n
-    intervals = []
-    for id in range(n):
-        left = rng.randint(0, span)
-        intervals.append(
-            Interval(id=id, left=left, right=left + 1, color=rng.randint(1, k))
-        )
-    return ColoredIntervalInstance(k=k, intervals=tuple(intervals), proper_flag=True)
+    lefts, colors = [], []
+    for _ in range(n):
+        lefts.append(rng.randint(0, span))
+        colors.append(rng.randint(1, k))
+    rights = [left + 1 for left in lefts]
+    return ColoredIntervalInstance.from_columns(k, lefts, rights, colors, proper_flag=True)
 
 
 def _greedy_adversarial(n: int) -> ColoredIntervalInstance:
@@ -86,14 +88,14 @@ def _greedy_adversarial(n: int) -> ColoredIntervalInstance:
     instance ends up with 2t colors for t blocks.
     """
     blocks = max(1, n // 3)
-    intervals = []
+    lefts, rights, colors = [], [], []
     for t in range(blocks):
         base = 8 * t
         c_a, c_b = 2 * t + 1, 2 * t + 2
-        intervals.append(Interval(id=3 * t, left=base, right=base + 2, color=c_a))
-        intervals.append(Interval(id=3 * t + 1, left=base + 1, right=base + 4, color=c_b))
-        intervals.append(Interval(id=3 * t + 2, left=base + 5, right=base + 6, color=c_a))
-    return ColoredIntervalInstance(k=2 * blocks, intervals=tuple(intervals))
+        lefts += [base, base + 1, base + 5]
+        rights += [base + 2, base + 4, base + 6]
+        colors += [c_a, c_b, c_a]
+    return ColoredIntervalInstance.from_columns(2 * blocks, lefts, rights, colors)
 
 
 def random_three_bounded(

@@ -87,8 +87,9 @@ def _improving_neighbor(
     masks are closed neighborhoods; an outside interval's own bit is never in
     the chosen mask, so masks[id] & mask tests intersection only.
     """
+    colors = inst.colors
     members = sorted(current)
-    outside = [iv for iv in inst.intervals if iv.id not in current]
+    outside = [id for id in range(inst.n) if id not in current]
     for removals in range(min(b, len(members)) + 1):
         need = removals + 1
         if need > b:
@@ -98,18 +99,18 @@ def _improving_neighbor(
             base_mask = 0
             for id in base:
                 base_mask |= 1 << id
-            base_colors = {inst.interval(id).color for id in base}
+            base_colors = {colors[id] for id in base}
 
-            def grow(start: int, picked: list[int], mask: int, colors: set[int]):
+            def grow(start: int, picked: list[int], mask: int, taken: set[int]):
                 counter[0] += 1
                 if len(picked) == need:
                     return frozenset(base) | frozenset(picked)
                 for pos in range(start, len(outside)):
-                    iv = outside[pos]
-                    if iv.color in colors or masks[iv.id] & mask:
+                    id = outside[pos]
+                    if colors[id] in taken or masks[id] & mask:
                         continue
                     found = grow(
-                        pos + 1, picked + [iv.id], mask | (1 << iv.id), colors | {iv.color}
+                        pos + 1, picked + [id], mask | (1 << id), taken | {colors[id]}
                     )
                     if found is not None:
                         return found
@@ -167,7 +168,7 @@ def is_b_locally_optimal(
     """
     _guard_budget(inst.n, b, budget)
     members = sorted(sol.ids)
-    outside = [iv.id for iv in inst.intervals if iv.id not in sol.ids]
+    outside = [id for id in range(inst.n) if id not in sol.ids]
     base_colors = len({inst.interval(id).color for id in members})
     for removals in range(min(b, len(members)) + 1):
         for removed in combinations(members, removals):

@@ -5,14 +5,19 @@ intersect.  Instance files are plain text: a header line ``n=<n> k=<k>`` with
 an optional ``proper`` token, followed by one ``<id> <left> <right> <color>``
 line per interval.  ``#`` starts a comment.  Solution files carry a
 ``kind=<BIS|MCIS|BDS> f=<f>`` header followed by one interval id per line.
+
+An instance is three columns, ``lefts``, ``rights`` and ``colors``: interval
+i is (lefts[i], rights[i], colors[i]) and its id is its position.  Parsing
+fills them and every index reads them; Interval objects are only views.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, repeat
-from operator import attrgetter, or_
+from functools import cached_property
+from itertools import accumulate, chain, repeat
+from operator import eq, le, or_
 
 SOLUTION_KINDS = ("BIS", "MCIS", "BDS")
 
@@ -50,61 +55,62 @@ def intersects(a: Interval, b: Interval) -> bool:
     return max(a.left, b.left) <= min(a.right, b.right)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ColoredIntervalInstance:
-    """An immutable instance: k colors and intervals stored in id order (ids are 0..n-1)."""
+    """An immutable instance: k colors and n intervals as id-indexed columns.
+    interval(id) builds one Interval view; intervals builds them all once."""
 
     k: int
-    intervals: tuple[Interval, ...]
+    lefts: tuple[int, ...]
+    rights: tuple[int, ...]
+    colors: tuple[int, ...]
     proper_flag: bool = False
 
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError(f"color count must be >= 0, got {self.k}")
-        if self.k == 0 and self.intervals:
-            raise ValueError("k=0 is only allowed for an empty instance")
-        seen_ids = set()
-        for iv in self.intervals:
-            if iv.id in seen_ids:
-                raise ValueError(f"duplicate interval id {iv.id}")
-            seen_ids.add(iv.id)
-            if iv.left > iv.right:
-                raise ValueError(f"interval {iv.id}: left {iv.left} > right {iv.right}")
-            if not 1 <= iv.color <= self.k:
-                raise ValueError(f"interval {iv.id}: color {iv.color} not in 1..{self.k}")
-        n = len(self.intervals)
-        if seen_ids and (min(seen_ids) != 0 or max(seen_ids) != n - 1):
-            raise ValueError(f"interval ids must form 0..{n - 1}")
-        if [iv.id for iv in self.intervals] != list(range(n)):
-            object.__setattr__(
-                self, "intervals", tuple(sorted(self.intervals, key=lambda iv: iv.id))
-            )
-        if self.proper_flag:
-            pair = _find_strict_containment(self.intervals)
-            if pair is not None:
-                outer, inner = pair
-                raise ValueError(
-                    f"proper claimed but interval {outer.id} strictly contains {inner.id}"
-                )
+    def __init__(self, k: int, intervals, proper_flag: bool = False):
+        ivs = tuple(intervals)
+        columns = ([getattr(iv, name) for iv in ivs] for name in ("id", "left", "right", "color"))
+        _store_columns(self, k, *columns, proper_flag)
+
+    @classmethod
+    def from_columns(
+        cls, k: int, lefts, rights, colors, proper_flag: bool = False
+    ) -> "ColoredIntervalInstance":
+        """The instance whose interval i is (lefts[i], rights[i], colors[i])."""
+        inst = cls.__new__(cls)
+        _store_columns(inst, k, None, lefts, rights, colors, proper_flag)
+        return inst
 
     @property
     def n(self) -> int:
-        return len(self.intervals)
+        return len(self.lefts)
+
+    @cached_property
+    def intervals(self) -> tuple[Interval, ...]:
+        """Every interval as an Interval object, in id order."""
+        return tuple(map(Interval, range(self.n), self.lefts, self.rights, self.colors))
 
     def interval(self, id: int) -> Interval:
         if not 0 <= id < self.n:
             raise ValueError(f"unknown interval id {id}")
-        return self.intervals[id]
+        return Interval(id, self.lefts[id], self.rights[id], self.colors[id])
+
+    def color_class_ids(self) -> list[list[int]]:
+        """Ids grouped by color, ascending: entry c-1 holds the ids of color c."""
+        classes: list[list[int]] = [[] for _ in range(self.k)]
+        for id, color in enumerate(self.colors):
+            classes[color - 1].append(id)
+        return classes
 
     def color_classes(self) -> dict[int, list[Interval]]:
         """Intervals grouped by color; every color 1..k is a key (possibly empty)."""
-        classes: dict[int, list[Interval]] = {c: [] for c in range(1, self.k + 1)}
-        for iv in self.intervals:
-            classes[iv.color].append(iv)
-        return classes
+        ivs = self.intervals
+        return {
+            color: [ivs[id] for id in ids]
+            for color, ids in enumerate(self.color_class_ids(), start=1)
+        }
 
     def missing_colors(self) -> tuple[int, ...]:
-        present = {iv.color for iv in self.intervals}
+        present = set(self.colors)
         return tuple(c for c in range(1, self.k + 1) if c not in present)
 
     def is_color_deficient(self) -> bool:
@@ -113,26 +119,67 @@ class ColoredIntervalInstance:
         return bool(self.missing_colors())
 
 
-def _find_strict_containment(
-    intervals: tuple[Interval, ...],
-) -> tuple[Interval, Interval] | None:
-    """Return (outer, inner) with outer strictly containing inner, or None.
+def _store_columns(inst, k, ids, lefts, rights, colors, proper_flag) -> None:
+    """Validate rows given as columns, row r being interval ids[r] (ids None:
+    interval r), and store the columns in id order on inst.  Only when a
+    column check fails does the row loop run, to name the first bad row."""
+    n = len(lefts)
+    if k < 0:
+        raise ValueError(f"color count must be >= 0, got {k}")
+    if k == 0 and n:
+        raise ValueError("k=0 is only allowed for an empty instance")
+    ids_in_order = ids is None or all(map(eq, ids, range(n)))
+    if not (
+        ids_in_order
+        and all(map(le, lefts, rights))
+        and (not n or 1 <= min(colors) and max(colors) <= k)
+    ):
+        if ids is None:
+            ids = range(n)
+        seen_ids = set()
+        for id, left, right, color in zip(ids, lefts, rights, colors):
+            if id in seen_ids:
+                raise ValueError(f"duplicate interval id {id}")
+            seen_ids.add(id)
+            if left > right:
+                raise ValueError(f"interval {id}: left {left} > right {right}")
+            if not 1 <= color <= k:
+                raise ValueError(f"interval {id}: color {color} not in 1..{k}")
+        if seen_ids and (min(seen_ids) != 0 or max(seen_ids) != n - 1):
+            raise ValueError(f"interval ids must form 0..{n - 1}")
+        if not ids_in_order:
+            rows = sorted(range(n), key=ids.__getitem__)
+            lefts, rights, colors = (
+                [column[r] for r in rows] for column in (lefts, rights, colors)
+            )
+    lefts, rights, colors = tuple(lefts), tuple(rights), tuple(colors)
+    if proper_flag:
+        pair = _find_strict_containment(lefts, rights)
+        if pair is not None:
+            raise ValueError(
+                f"proper claimed but interval {pair[0]} strictly contains {pair[1]}"
+            )
+    vars(inst).update(k=k, lefts=lefts, rights=rights, colors=colors, proper_flag=proper_flag)
+
+
+def _find_strict_containment(lefts, rights) -> tuple[int, int] | None:
+    """Return ids (outer, inner) with outer strictly containing inner, or None.
 
     Sorted by (left asc, right desc), containment can only run earlier-to-later;
     a single scan tracking the max right (and the min left achieving it) finds
     any violating pair.
     """
-    order = sorted(intervals, key=lambda iv: (iv.left, -iv.right))
+    order = sorted(range(len(lefts)), key=lambda id: (lefts[id], -rights[id]))
     # first holder of the running max right also has the min left among holders
-    best: Interval | None = None
-    for iv in order:
+    best = None
+    for id in order:
         if best is not None:
-            if best.right > iv.right:
-                return best, iv
-            if best.right == iv.right and best.left < iv.left:
-                return best, iv
-        if best is None or iv.right > best.right:
-            best = iv
+            if rights[best] > rights[id]:
+                return best, id
+            if rights[best] == rights[id] and lefts[best] < lefts[id]:
+                return best, id
+        if best is None or rights[id] > rights[best]:
+            best = id
     return None
 
 
@@ -157,18 +204,17 @@ def build_sorted_view(inst: ColoredIntervalInstance) -> SortedView:
 
     Each interval is one integer key (((right-lo) w + left-lo) n + id) k + color-1,
     lo being the least left endpoint and w the endpoint span: the sorted keys
-    are in (right, left, id) order and decode to every column by arithmetic,
-    without going back to the Interval objects.  A position's prev entry is
-    the insertion point of the key (left-lo) w n k.
+    are in (right, left, id) order and decode to every column by arithmetic.
+    A position's prev entry is the insertion point of the key (left-lo) w n k.
     """
-    ivs = inst.intervals
-    lo = min(map(attrgetter("left"), ivs), default=0)
-    w = max(map(attrgetter("right"), ivs), default=0) - lo + 1
+    lo = min(inst.lefts, default=0)
+    w = max(inst.rights, default=0) - lo + 1
     k = inst.k
     nk = inst.n * k
-    keys = sorted(
-        [((iv.right - lo) * w + iv.left - lo) * nk + iv.id * k + iv.color - 1 for iv in ivs]
-    )
+    keys = sorted([
+        ((right - lo) * w + left - lo) * nk + id * k + color - 1
+        for id, (left, right, color) in enumerate(zip(inst.lefts, inst.rights, inst.colors))
+    ])
     low = [key % nk for key in keys]
     scale = w * nk
     cuts = [key // nk % w * scale for key in keys]
@@ -198,10 +244,10 @@ def greedy_independent(view: SortedView) -> list[int]:
 def _left_cuts(inst: ColoredIntervalInstance, view: SortedView) -> tuple[list[int], list[int]]:
     """Ids in left-endpoint order, and for each position of view.order the
     number of intervals whose left endpoint is at most that interval's right."""
-    by_left = sorted(inst.intervals, key=lambda iv: iv.left)
-    lefts = [iv.left for iv in by_left]
-    cuts = [bisect_right(lefts, inst.intervals[id].right) for id in view.order]
-    return [iv.id for iv in by_left], cuts
+    by_left = sorted(range(inst.n), key=inst.lefts.__getitem__)
+    lefts = sorted(inst.lefts)
+    cuts = list(map(bisect_right, repeat(lefts), map(inst.rights.__getitem__, view.order)))
+    return by_left, cuts
 
 
 def neighborhood_masks(inst: ColoredIntervalInstance, view: SortedView) -> list[int]:
@@ -251,10 +297,18 @@ def solution_from_ids(
 ) -> SolutionSet:
     """Build a SolutionSet whose count vector is the actual color histogram of ids."""
     ids = frozenset(ids)
+    return SolutionSet(kind=kind, ids=ids, per_color_counts=_color_counts(inst, ids))
+
+
+def _color_counts(inst: ColoredIntervalInstance, ids) -> tuple[int, ...]:
+    """Per-color histogram of ids; an id outside 0..n-1 raises ValueError."""
+    n, colors = inst.n, inst.colors
     counts = [0] * inst.k
     for id in ids:
-        counts[inst.interval(id).color - 1] += 1
-    return SolutionSet(kind=kind, ids=ids, per_color_counts=tuple(counts))
+        if not 0 <= id < n:
+            raise ValueError(f"unknown interval id {id}")
+        counts[colors[id] - 1] += 1
+    return tuple(counts)
 
 
 def verified_solution(
@@ -278,13 +332,16 @@ class Verdict:
     distinct_colors: int | None = None
 
 
-def _find_intersecting_pair(members: list[Interval]) -> tuple[Interval, Interval] | None:
-    """Return an intersecting pair among members, or None if independent."""
-    order = sorted(members, key=lambda iv: (iv.left, iv.right))
+def _find_intersecting_pair(
+    inst: ColoredIntervalInstance, ids
+) -> tuple[int, int] | None:
+    """Return the ids of an intersecting pair among ids, or None if independent."""
+    lefts, rights = inst.lefts, inst.rights
+    order = sorted(ids, key=lambda id: (lefts[id], rights[id]))
     for a, b in zip(order, order[1:]):
         # consecutive check suffices: lefts ascend, so a disjoint chain never
         # lets a later interval reach back past its predecessor
-        if intersects(a, b):
+        if lefts[b] <= rights[a]:
             return a, b
     return None
 
@@ -292,19 +349,16 @@ def _find_intersecting_pair(members: list[Interval]) -> tuple[Interval, Interval
 def _find_undominated(inst: ColoredIntervalInstance, ids: frozenset[int]) -> int | None:
     """Return an undominated vertex id outside ids, or None.  Sweep: sort the
     chosen intervals by left and keep prefix maxima of their rights."""
-    chosen = sorted((inst.interval(i) for i in ids), key=lambda iv: iv.left)
-    lefts = [iv.left for iv in chosen]
-    prefix_max_right: list[int] = []
-    best = None
-    for iv in chosen:
-        best = iv.right if best is None else max(best, iv.right)
-        prefix_max_right.append(best)
-    for iv in inst.intervals:
-        if iv.id in ids:
+    lefts, rights = inst.lefts, inst.rights
+    chosen = sorted(ids, key=lefts.__getitem__)
+    chosen_lefts = [lefts[id] for id in chosen]
+    prefix_max_right = list(accumulate(map(rights.__getitem__, chosen), max))
+    for id, (left, right) in enumerate(zip(lefts, rights)):
+        if id in ids:
             continue
-        hi = bisect_right(lefts, iv.right)
-        if hi == 0 or prefix_max_right[hi - 1] < iv.left:
-            return iv.id
+        hi = bisect_right(chosen_lefts, right)
+        if hi == 0 or prefix_max_right[hi - 1] < left:
+            return id
     return None
 
 
@@ -318,27 +372,24 @@ def verify_solution(
     reports the distinct-color count.  BDS: histogram exactly (f,...,f) and every
     non-member intersects some member.  Unknown ids raise ValueError.
     """
-    members = [inst.interval(i) for i in sol.ids]
-    counts = [0] * inst.k
-    for iv in members:
-        counts[iv.color - 1] += 1
-    if tuple(counts) != sol.per_color_counts:
+    counts = _color_counts(inst, sol.ids)
+    if counts != sol.per_color_counts:
         return Verdict(False, "per_color_counts does not match the ids")
     if sol.kind in ("BIS", "MCIS"):
-        clash = _find_intersecting_pair(members)
+        clash = _find_intersecting_pair(inst, sol.ids)
         if clash is not None:
-            return Verdict(False, f"intervals {clash[0].id} and {clash[1].id} intersect")
+            return Verdict(False, f"intervals {clash[0]} and {clash[1]} intersect")
     if sol.kind == "BIS":
-        if tuple(counts) != (f,) * inst.k:
-            return Verdict(False, f"color counts {tuple(counts)} != ({f},)*{inst.k}")
+        if counts != (f,) * inst.k:
+            return Verdict(False, f"color counts {counts} != ({f},)*{inst.k}")
         return Verdict(True)
     if sol.kind == "MCIS":
         if any(c > 1 for c in counts):
             return Verdict(False, "more than one interval of a color")
         return Verdict(True, distinct_colors=sum(counts))
     if sol.kind == "BDS":
-        if tuple(counts) != (f,) * inst.k:
-            return Verdict(False, f"color counts {tuple(counts)} != ({f},)*{inst.k}")
+        if counts != (f,) * inst.k:
+            return Verdict(False, f"color counts {counts} != ({f},)*{inst.k}")
         bad = _find_undominated(inst, sol.ids)
         if bad is not None:
             return Verdict(False, f"interval {bad} is not dominated")
@@ -357,14 +408,18 @@ def _content_lines(text: str):
 
 
 def parse_instance(text: str) -> ColoredIntervalInstance:
-    """Parse the instance format; raises FormatError with a line number."""
-    lines = list(_content_lines(text))
-    if not lines:
+    """Parse the instance format; raises FormatError with a line number.
+    Body tokens are counted per line, then fed through one int map without
+    keeping per-line lists; malformed input is re-read line by line."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    start = next((r for r, line in enumerate(lines) if line.strip()), None)
+    if start is None:
         raise FormatError("missing header line")
-    no, header = lines[0]
-    tokens = header.split()
+    no, tokens = start + 1, lines[start].split()
     proper = False
-    if tokens and tokens[-1] == "proper":
+    if tokens[-1] == "proper":
         proper = True
         tokens = tokens[:-1]
     if len(tokens) != 2 or not tokens[0].startswith("n=") or not tokens[1].startswith("k="):
@@ -376,30 +431,50 @@ def parse_instance(text: str) -> ColoredIntervalInstance:
         raise FormatError("header counts must be integers", no) from None
     if n < 0 or k < 0:
         raise FormatError("header counts must be non-negative", no)
-    body = lines[1:]
-    if len(body) != n:
-        raise FormatError(f"header says n={n} but found {len(body)} interval lines", no)
-    intervals = []
-    for no, line in body:
-        parts = line.split()
-        if len(parts) != 4:
-            raise FormatError("expected '<id> <left> <right> <color>'", no)
+    body = lines[start + 1 :]
+    widths = list(map(len, map(str.split, body)))
+    found = len(widths) - widths.count(0)
+    if found != n:
+        raise FormatError(f"header says n={n} but found {found} interval lines", no)
+    values = None
+    if set(widths) <= {0, 4}:
         try:
-            id, left, right, color = (int(p) for p in parts)
+            values = list(map(int, chain.from_iterable(map(str.split, body))))
         except ValueError:
-            raise FormatError("interval fields must be integers", no) from None
-        intervals.append(Interval(id=id, left=left, right=right, color=color))
+            pass
+    if values is None:
+        _raise_at_first_bad_line(body, start + 2)
+    inst = ColoredIntervalInstance.__new__(ColoredIntervalInstance)
     try:
-        return ColoredIntervalInstance(k=k, intervals=tuple(intervals), proper_flag=proper)
+        _store_columns(
+            inst, k, values[0::4], values[1::4], values[2::4], values[3::4], proper
+        )
     except ValueError as exc:
         raise FormatError(str(exc)) from None
+    return inst
+
+
+def _raise_at_first_bad_line(lines: list[str], first_no: int) -> None:
+    """Raise the error of the first line (numbered from first_no) that is
+    neither blank nor four integer fields; such a line must exist."""
+    for no, line in enumerate(lines, start=first_no):
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) != 4:
+            raise FormatError("expected '<id> <left> <right> <color>'", no)
+        try:
+            list(map(int, fields))
+        except ValueError:
+            raise FormatError("interval fields must be integers", no) from None
+    raise AssertionError("no malformed interval line")
 
 
 def serialize_instance(inst: ColoredIntervalInstance) -> str:
     header = f"n={inst.n} k={inst.k}"
     if inst.proper_flag:
         header += " proper"
-    rows = [f"{iv.id} {iv.left} {iv.right} {iv.color}" for iv in inst.intervals]
+    rows = map("{} {} {} {}".format, range(inst.n), inst.lefts, inst.rights, inst.colors)
     return "\n".join([header, *rows]) + "\n"
 
 

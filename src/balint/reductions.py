@@ -25,11 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-from .cnf import CnfFormula, is_three_bounded, is_tptn
+from .cnf import CnfFormula
 from .model import (
     ColoredIntervalInstance,
     FormatError,
-    Interval,
     SolutionSet,
     build_sorted_view,
     edge_count,
@@ -239,23 +238,29 @@ def _check_metadata(inst: ColoredIntervalInstance, meta: GadgetMetadata, kind: s
         raise ValueError("metadata variable gadgets do not match the instance")
 
 class _Builder:
-    """Accumulates intervals component by component, spacing components apart."""
+    """Accumulates interval columns component by component, spacing
+    components apart."""
 
     def __init__(self):
-        self.intervals: list[Interval] = []
+        self.lefts: list[int] = []
+        self.rights: list[int] = []
+        self.colors: list[int] = []
         self.components = 0
 
-    def add_component(self, coords, colors) -> list[int]:
+    def add_component(self, coords, colors) -> range:
         base = self.components * COMPONENT_STRIDE
         self.components += 1
-        ids = []
+        first = len(self.lefts)
         for (left, right), color in zip(coords, colors):
-            id = len(self.intervals)
-            self.intervals.append(
-                Interval(id=id, left=base + left, right=base + right, color=color)
-            )
-            ids.append(id)
-        return ids
+            self.lefts.append(base + left)
+            self.rights.append(base + right)
+            self.colors.append(color)
+        return range(first, len(self.lefts))
+
+    def instance(self, k: int) -> ColoredIntervalInstance:
+        return ColoredIntervalInstance.from_columns(
+            k, self.lefts, self.rights, self.colors, proper_flag=True
+        )
 
 
 def reduce_indset(phi: CnfFormula) -> tuple[ColoredIntervalInstance, GadgetMetadata]:
@@ -265,7 +270,9 @@ def reduce_indset(phi: CnfFormula) -> tuple[ColoredIntervalInstance, GadgetMetad
     equals the clause count.  The implied intersection graph consists of one
     complete bipartite gadget (positive vs negative occurrences) per variable.
     """
-    if not is_three_bounded(phi):
+    # a formula without clauses is 3-bounded, though build flavors it tptn
+    # when it also has no variables
+    if phi.clauses and phi.flavor != "three_bounded":
         raise ValueError("formula is not 3-bounded (clauses of 2-3 literals, "
                          "each variable in at most 3 clauses)")
     builder = _Builder()
@@ -276,7 +283,7 @@ def reduce_indset(phi: CnfFormula) -> tuple[ColoredIntervalInstance, GadgetMetad
         for id, (j, positive) in zip(ids, occurrences):
             roles[id] = OccurrenceRole(variable=var, clause=j, positive=positive)
 
-    for var, (pos, neg) in enumerate(phi.occurrence_lists()[1:], start=1):
+    for var, (pos, neg) in enumerate(phi.occurrence_lists[1:], start=1):
         if pos and neg:
             if len(pos) + len(neg) == 2:
                 emit(EDGE_COORDS, [(pos[0], True), (neg[0], False)])
@@ -289,9 +296,7 @@ def reduce_indset(phi: CnfFormula) -> tuple[ColoredIntervalInstance, GadgetMetad
                 emit(SINGLETON_COORDS, [(j, True)])
             for j in neg:
                 emit(SINGLETON_COORDS, [(j, False)])
-    inst = ColoredIntervalInstance(
-        k=len(phi.clauses), intervals=tuple(builder.intervals), proper_flag=True
-    )
+    inst = builder.instance(len(phi.clauses))
     assert inst.n == sum(len(c) for c in phi.clauses)
     meta = GadgetMetadata(
         kind="indset", num_vars=phi.num_vars, clauses=phi.clauses, roles=roles
@@ -309,7 +314,7 @@ def reduce_domset(phi: CnfFormula) -> tuple[ColoredIntervalInstance, GadgetMetad
     For 3-literal clauses throughout, the instance has 6n + 3m vertices and
     4n + 3m edges; shorter clauses contribute proportionally fewer.
     """
-    if not is_tptn(phi):
+    if phi.flavor != "tptn":
         raise ValueError("formula is not 2P2N (every variable exactly twice "
                          "positive and twice negative, clauses of 1-3 literals)")
     builder = _Builder()
@@ -320,7 +325,7 @@ def reduce_domset(phi: CnfFormula) -> tuple[ColoredIntervalInstance, GadgetMetad
         # parts: 1 = z_t1, 2 = z_t2, 3 = z_f1, 4 = z_f2, 5 = z_h
         return 5 * (var - 1) + part
 
-    for var, (pos, neg) in enumerate(phi.occurrence_lists()[1:], start=1):
+    for var, (pos, neg) in enumerate(phi.occurrence_lists[1:], start=1):
         t1, h_t, t2 = builder.add_component(
             PATH_COORDS, [z(var, 1), z(var, 5), z(var, 2)]
         )
@@ -351,9 +356,7 @@ def reduce_domset(phi: CnfFormula) -> tuple[ColoredIntervalInstance, GadgetMetad
     gadgets = {
         var: VariableGadget(**parts) for var, parts in gadget_parts.items()
     }
-    inst = ColoredIntervalInstance(
-        k=5 * phi.num_vars, intervals=tuple(builder.intervals), proper_flag=True
-    )
+    inst = builder.instance(5 * phi.num_vars)
     assert inst.n == 6 * phi.num_vars + sum(len(c) for c in phi.clauses)
     assert edge_count(inst, build_sorted_view(inst)) == 4 * phi.num_vars + sum(
         len(c) * (len(c) - 1) // 2 for c in phi.clauses

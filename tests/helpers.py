@@ -6,7 +6,7 @@ from random import Random
 
 from hypothesis import strategies as st
 
-from balint import ColoredIntervalInstance, Interval
+from balint import ColoredIntervalInstance, FormatError, Interval
 
 
 def build_instance(
@@ -60,3 +60,100 @@ def independent_pairs_ok(inst: ColoredIntervalInstance, ids) -> bool:
         for i in range(len(members))
         for j in range(i + 1, len(members))
     )
+
+
+# --- reference instance parser ---------------------------------------------
+# The line-by-line parser and Interval-object validation that parse_instance
+# replaced, kept verbatim in behavior: the parity test requires the columnar
+# parser to return the same instance or raise the same FormatError.
+
+
+def _reference_content_lines(text: str):
+    for no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield no, line
+
+
+def _reference_strict_containment(intervals):
+    order = sorted(intervals, key=lambda iv: (iv.left, -iv.right))
+    best = None
+    for iv in order:
+        if best is not None:
+            if best.right > iv.right:
+                return best, iv
+            if best.right == iv.right and best.left < iv.left:
+                return best, iv
+        if best is None or iv.right > best.right:
+            best = iv
+    return None
+
+
+def _reference_validate(k: int, intervals: tuple, proper_flag: bool) -> tuple:
+    """The id-ordered intervals, or ValueError with the message the Interval
+    object validation gave."""
+    if k < 0:
+        raise ValueError(f"color count must be >= 0, got {k}")
+    if k == 0 and intervals:
+        raise ValueError("k=0 is only allowed for an empty instance")
+    seen_ids = set()
+    for iv in intervals:
+        if iv.id in seen_ids:
+            raise ValueError(f"duplicate interval id {iv.id}")
+        seen_ids.add(iv.id)
+        if iv.left > iv.right:
+            raise ValueError(f"interval {iv.id}: left {iv.left} > right {iv.right}")
+        if not 1 <= iv.color <= k:
+            raise ValueError(f"interval {iv.id}: color {iv.color} not in 1..{k}")
+    n = len(intervals)
+    if seen_ids and (min(seen_ids) != 0 or max(seen_ids) != n - 1):
+        raise ValueError(f"interval ids must form 0..{n - 1}")
+    intervals = tuple(sorted(intervals, key=lambda iv: iv.id))
+    if proper_flag:
+        pair = _reference_strict_containment(intervals)
+        if pair is not None:
+            outer, inner = pair
+            raise ValueError(
+                f"proper claimed but interval {outer.id} strictly contains {inner.id}"
+            )
+    return intervals
+
+
+def reference_parse_instance(text: str) -> tuple[int, tuple[Interval, ...], bool]:
+    """(k, id-ordered Interval objects, proper flag) of an instance text, or
+    the FormatError the line-by-line parser raised."""
+    lines = list(_reference_content_lines(text))
+    if not lines:
+        raise FormatError("missing header line")
+    no, header = lines[0]
+    tokens = header.split()
+    proper = False
+    if tokens and tokens[-1] == "proper":
+        proper = True
+        tokens = tokens[:-1]
+    if len(tokens) != 2 or not tokens[0].startswith("n=") or not tokens[1].startswith("k="):
+        raise FormatError("header must be 'n=<n> k=<k>[ proper]'", no)
+    try:
+        n = int(tokens[0][2:])
+        k = int(tokens[1][2:])
+    except ValueError:
+        raise FormatError("header counts must be integers", no) from None
+    if n < 0 or k < 0:
+        raise FormatError("header counts must be non-negative", no)
+    body = lines[1:]
+    if len(body) != n:
+        raise FormatError(f"header says n={n} but found {len(body)} interval lines", no)
+    intervals = []
+    for no, line in body:
+        parts = line.split()
+        if len(parts) != 4:
+            raise FormatError("expected '<id> <left> <right> <color>'", no)
+        try:
+            id, left, right, color = (int(p) for p in parts)
+        except ValueError:
+            raise FormatError("interval fields must be integers", no) from None
+        intervals.append(Interval(id=id, left=left, right=right, color=color))
+    try:
+        return k, _reference_validate(k, tuple(intervals), proper), proper
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None

@@ -103,6 +103,7 @@ CASES: list[list[str]] = [
     ["oracle", "--dev", "bds", "--f", "2", "inst.txt"],
     ["oracle", "--dev", "sat", "phi.cnf"],
     ["oracle", "--dev", "sat", "--json", "phi.cnf"],
+    ["oracle", "--dev", "sat", "--out", "osat.txt", "phi.cnf"],
     ["oracle", "--dev", "sat", "unsat.cnf"],
     ["oracle", "--dev", "sat", "--json", "unsat.cnf"],
     ["gen", "--n", "8", "--k", "3", "--seed", "5"],

@@ -10,8 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 from balint import (
     ColoredIntervalInstance,
     FormatError,
+    GenSpec,
     Interval,
     build_sorted_view,
+    generate,
     intersects,
     parse_assignment,
     parse_instance,
@@ -23,7 +25,13 @@ from balint import (
     verify_solution,
 )
 from balint.model import edge_count
-from helpers import brute_intersects, build_instance, instances, random_instance
+from helpers import (
+    brute_intersects,
+    build_instance,
+    instances,
+    random_instance,
+    reference_parse_instance,
+)
 
 interval_st = st.builds(
     lambda i, a, b, c: Interval(id=i, left=min(a, b), right=max(a, b), color=c),
@@ -250,6 +258,96 @@ def test_parse_instance_errors(text: str, fragment: str):
     with pytest.raises(FormatError) as err:
         parse_instance(text)
     assert fragment in str(err.value)
+
+
+# str.splitlines breaks lines at each of these, and str.split treats each as a blank.
+LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028", "\u2029")
+ODD_TOKENS = ("1_0", "+3", "-1", "0", "7", "x", "1.5", "\u0663", "0x1", "_1", "#", "proper", "n=1")
+
+
+@st.composite
+def mutated_instance_texts(draw) -> str:
+    """A small instance text with up to five edits: odd tokens, dropped or
+    extra fields, permuted or repeated ids, swapped endpoints, blank and
+    comment lines, a changed header, and any mix of line breaks."""
+    n = draw(st.integers(0, 5))
+    k = draw(st.integers(1, 3))
+    lines = [[f"n={n}", f"k={k}"] + (["proper"] if draw(st.booleans()) else [])]
+    for id in range(n):
+        a, b = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+        lines.append([str(id), str(min(a, b)), str(max(a, b)), str(draw(st.integers(1, k)))])
+    for _ in range(draw(st.integers(0, 5))):
+        r = draw(st.integers(0, len(lines) - 1))
+        row = lines[r]
+        edit = draw(st.sampled_from(
+            ("token", "drop", "extra", "swap_ids", "repeat_id", "swap_ends",
+             "blank", "comment", "trailing_comment", "header")
+        ))
+        if edit == "token" and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(ODD_TOKENS))
+        elif edit == "drop" and row:
+            del row[draw(st.integers(0, len(row) - 1))]
+        elif edit == "extra":
+            row.append(draw(st.sampled_from(ODD_TOKENS)))
+        elif edit in ("swap_ids", "repeat_id") and n >= 2:
+            i, j = draw(st.integers(1, n)), draw(st.integers(1, n))
+            if lines[i] and lines[j]:
+                if edit == "swap_ids":
+                    lines[i][0], lines[j][0] = lines[j][0], lines[i][0]
+                else:
+                    lines[j][0] = lines[i][0]
+        elif edit == "swap_ends" and len(row) == 4 and r:
+            row[1], row[2] = row[2], row[1]
+        elif edit == "blank":
+            lines.insert(r, draw(st.sampled_from(([], [""], ["\t"]))))
+        elif edit == "comment":
+            lines.insert(r, ["# note"])
+        elif edit == "trailing_comment":
+            row.append("#tail")
+        elif edit == "header":
+            lines[0] = [
+                draw(st.sampled_from((f"n={n}", f"n={n + 1}", f"n={n - 1}", "n=x", "k=1"))),
+                draw(st.sampled_from((f"k={k}", "k=0", "k=-1", "k=1_0"))),
+            ]
+    seps = draw(st.lists(st.sampled_from((" ", "\t", "  ", "\xa0")), min_size=1, max_size=3))
+    breaks = draw(st.lists(st.sampled_from(LINE_BREAKS), min_size=len(lines), max_size=len(lines)))
+    return "".join(
+        seps[r % len(seps)].join(row) + brk for r, (row, brk) in enumerate(zip(lines, breaks))
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=mutated_instance_texts())
+@example(text="n=2 k=1\n0 0 1\n1 x 2 1\n")  # three fields before a bad int
+@example(text="n=2 k=1\n0 x 1 1\n1 2 1\n")  # a bad int before three fields
+@example(text="n=1 k=1\n0 x 1\n")  # three fields, one of them not an int
+@example(text="n=2 k=2 proper\r\n1 1_0 +12 2\x0c0 3 5 1\u2028")
+@example(text="# c\n\nn=1 k=1 # header\n 0  0 \t 2 1 # tail\n")
+@example(text="n=3 k=1\n2 0 1 1\n0 5 6 1\n2 0 9 1\n")
+def test_parse_instance_matches_reference_parser(text: str):
+    """The columnar parser returns the reference parser's instance, or raises
+    its FormatError with the same message and line."""
+    try:
+        k, intervals, proper = reference_parse_instance(text)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as err:
+            parse_instance(text)
+        assert (str(err.value), err.value.line) == (str(exc), exc.line)
+        return
+    inst = parse_instance(text)
+    assert (inst.k, inst.proper_flag) == (k, proper)
+    assert inst.intervals == intervals
+    assert tuple(inst.interval(id) for id in range(inst.n)) == intervals
+    built = ColoredIntervalInstance(k=k, intervals=intervals[::-1], proper_flag=proper)
+    assert inst == built and hash(inst) == hash(built)
+
+
+@pytest.mark.parametrize("model", ["uniform-random", "proper-unit", "greedy-adversarial"])
+def test_generated_and_parsed_instances_compare_equal(model: str):
+    inst = generate(GenSpec(n=30, k=3, seed=2, model=model))
+    parsed = parse_instance(serialize_instance(inst))
+    assert parsed == inst and hash(parsed) == hash(inst)
+    assert parsed.intervals == inst.intervals
 
 
 @given(inst=instances())
