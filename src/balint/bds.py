@@ -52,6 +52,7 @@ def solve_fbds_brute(
     Raises GuardError when the product of per-class C(size, f) combination
     counts exceeds COMBINATION_GUARD.
     """
+    stats = {} if stats is None else stats
     if f < 1:
         raise ValueError("f must be >= 1")
     classes = sorted(inst.color_class_ids(), key=lambda ids: (len(ids), ids))
@@ -63,10 +64,7 @@ def solve_fbds_brute(
                 f"{total}+ balanced combinations exceeds {COMBINATION_GUARD}; "
                 "instance too large for exact BDS"
             )
-    if stats is not None:
-        stats["combinations_bound"] = total
-        stats["combinations_tried"] = 0
-        stats["feasible"] = False
+    stats.update(combinations_bound=total, combinations_tried=0, feasible=False)
     if total == 0:
         return None
     index = DominationIndex.from_instance(inst)
@@ -98,9 +96,7 @@ def solve_fbds_brute(
             found = [id for pick in picks for id in pick]
             break
         frames.append((combinations(classes[t + 1], f), mask))
-    if stats is not None:
-        stats["combinations_tried"] = tried
-        stats["feasible"] = found is not None
+    stats.update(combinations_tried=tried, feasible=found is not None)
     if found is None:
         return None
     return verified_solution(inst, "BDS", found, f)

@@ -2,24 +2,25 @@
 
 Columns, in order: instance, n, k, param, method, result, optimum, ratio,
 wall_time_s, peak_state.  result is the feasibility verdict or the color
-count; optimum and ratio are filled when the exhaustive oracle ran.  Wall
-times are medians of `reps` runs of the solve call alone (parsing and
-generation excluded).  Rows are appended and flushed as they complete.
+count.  Quality rows always fill optimum, the exact 1-MCIS color count from
+the f = 1 vector DP (fbis_dp.max_colors), and ratio = result / optimum.  Wall
+times are medians of `reps` runs of the solve call alone (parsing, generation
+and the optimum excluded).  Rows are appended and flushed as they complete.
+`out` is a text stream, or a function that opens one; a suite calls it only
+after its GenSpecs have passed their checks, so a refused run opens nothing.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from statistics import median
 from time import perf_counter
-from typing import TextIO
+from typing import Callable, TextIO
 
-from .fbis_dp import solve_fbis_dp
+from .fbis_dp import max_colors, solve_fbis_dp
 from .gen import GenSpec, generate
 from .mcis import LocalSearchConfig, greedy_mcis, local_search_mcis
-from .oracle import oracle_mcis
 
 BENCH_FIELDS = (
     "instance",
@@ -66,10 +67,10 @@ class BenchRow:
 
 
 class _RowSink:
-    def __init__(self, out: TextIO | None):
+    def __init__(self, out: TextIO | Callable[[], TextIO] | None):
         self.rows: list[BenchRow] = []
         self.writer = None
-        self.out = out
+        self.out = out = out() if callable(out) else out
         if out is not None:
             self.writer = csv.writer(out)
             self.writer.writerow(BENCH_FIELDS)
@@ -93,11 +94,10 @@ def _timed(fn, reps: int):
     return result, median(times)
 
 
-def _quality_task(args) -> list[BenchRow]:
-    spec, b, reps = args
+def _quality_task(spec: GenSpec, b: int, reps: int) -> list[BenchRow]:
     inst = generate(spec)
     name = f"uniform-n{spec.n}-k{spec.k}-s{spec.seed}"
-    optimum = oracle_mcis(inst).distinct_colors
+    optimum = max_colors(inst)
     rows = []
     greedy, greedy_time = _timed(lambda: greedy_mcis(inst), reps)
     local, local_time = _timed(
@@ -131,26 +131,16 @@ def run_quality_suite(
     b: int = 2,
     seed: int = 0,
     reps: int = 5,
-    jobs: int = 1,
-    out: TextIO | None = None,
+    out: TextIO | Callable[[], TextIO] | None = None,
 ) -> list[BenchRow]:
-    """Color-count quality of greedy and b-swap local search against the oracle
-    optimum on small uniform-random instances."""
+    """Color-count quality of greedy and b-swap local search against the exact
+    optimum on uniform-random instances."""
     # the specs check n and k before the sink writes the CSV header
-    tasks = [
-        (GenSpec(n=n, k=k, seed=seed + i, model="uniform-random"), b, reps)
-        for i in range(count)
-    ]
+    specs = [GenSpec(n=n, k=k, seed=seed + i, model="uniform-random") for i in range(count)]
     sink = _RowSink(out)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for rows in pool.map(_quality_task, tasks):
-                for row in rows:
-                    sink.add(row)
-    else:
-        for task in tasks:
-            for row in _quality_task(task):
-                sink.add(row)
+    for spec in specs:
+        for row in _quality_task(spec, b, reps):
+            sink.add(row)
     return sink.rows
 
 
@@ -169,7 +159,7 @@ def run_dp_scaling_suite(
     f: int = 2,
     seed: int = 0,
     reps: int = 5,
-    out: TextIO | None = None,
+    out: TextIO | Callable[[], TextIO] | None = None,
 ) -> list[BenchRow]:
     """Wall time of the vector DP on uniform-random instances of doubling size.
 
@@ -180,12 +170,7 @@ def run_dp_scaling_suite(
     for spec in specs:
         inst = generate(spec)
         stats: dict = {}
-
-        def solve():
-            stats.clear()
-            return solve_fbis_dp(inst, f, stats)
-
-        sol, seconds = _timed(solve, reps)
+        sol, seconds = _timed(lambda: solve_fbis_dp(inst, f, stats), reps)
         sink.add(
             BenchRow(
                 instance=f"uniform-n{spec.n}-k{k}-s{spec.seed}",

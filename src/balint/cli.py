@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import nullcontext
+from contextlib import ExitStack
 from time import perf_counter
 
 from . import bench as bench_mod
@@ -33,6 +33,7 @@ from .model import (
     serialize_instance,
     serialize_solution,
     solution_from_ids,
+    verified_solution,
     verify_solution,
 )
 from .oracle import OracleBudget, oracle_fbds, oracle_fbis, oracle_mcis, oracle_sat
@@ -231,15 +232,14 @@ def _cmd_gen(args) -> int:
 
 def _cmd_bench(args) -> int:
     report = {"command": "bench", "suite": args.suite}
-    if args.out:
-        sink = open(args.out, "w", newline="", encoding="utf-8")
-    else:
-        sink = nullcontext(sys.stdout)
-    with sink as out:
+    with ExitStack() as files:
+        out = sys.stdout
+        if args.out:  # opened by the suite once its GenSpecs pass their checks
+            out = lambda: files.enter_context(open(args.out, "w", newline="", encoding="utf-8"))
         if args.suite == "quality":
             rows = bench_mod.run_quality_suite(
                 count=args.count, n=args.n, k=5 if args.k is None else args.k, b=args.b,
-                seed=args.seed, reps=args.reps, jobs=args.jobs, out=out,
+                seed=args.seed, reps=args.reps, out=out,
             )
             report["mean_ratio"] = bench_mod.quality_summary(rows)
         else:
@@ -277,6 +277,8 @@ def _cmd_oracle(args) -> int:
     else:
         search = oracle_fbis if args.problem == "bis" else oracle_fbds
         sol, f = search(inst, args.f, budget), args.f
+    if sol is not None:
+        sol = verified_solution(inst, sol.kind, sol.ids, f)
     payload["feasible"] = sol is not None
     return _finish(args, payload, sol, f, "infeasible")
 
@@ -348,7 +350,6 @@ def build_parser() -> _Parser:
     bench.add_argument("--sizes", help="dp-scaling: comma-separated n values")
     bench.add_argument("--reps", type=int, default=5)
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--jobs", type=int, default=1)
     bench.add_argument("--json", action="store_true")
     bench.set_defaults(func=_cmd_bench)
 

@@ -9,7 +9,7 @@ one to three literals), else ``general``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .model import FormatError
 
@@ -19,14 +19,21 @@ FLAVORS = ("tptn", "three_bounded", "general")
 @dataclass(frozen=True)
 class CnfFormula:
     """A validated formula.  occurrence_lists[var] is occurrences(var) as a
-    pair of tuples (entry 0 is unused), computed once by build."""
+    pair of tuples (entry 0 is unused), computed once by build; the flavor is
+    classified from them when the formula is constructed."""
 
     num_vars: int
     clauses: tuple[tuple[int, ...], ...]
-    flavor: str
+    flavor: str = field(init=False)
     occurrence_lists: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = field(
         compare=False, repr=False
     )
+
+    def __post_init__(self):
+        flavor = (
+            "tptn" if is_tptn(self) else "three_bounded" if is_three_bounded(self) else "general"
+        )
+        object.__setattr__(self, "flavor", flavor)
 
     @staticmethod
     def build(num_vars: int, clauses) -> "CnfFormula":
@@ -53,17 +60,11 @@ class CnfFormula:
         for j, clause in enumerate(normalized, start=1):
             for lit in clause:
                 table[abs(lit)][lit < 0].append(j)
-        phi = CnfFormula(
+        return CnfFormula(
             num_vars=num_vars,
             clauses=tuple(normalized),
-            flavor="general",
             occurrence_lists=tuple((tuple(pos), tuple(neg)) for pos, neg in table),
         )
-        if is_tptn(phi):
-            return replace(phi, flavor="tptn")
-        if is_three_bounded(phi):
-            return replace(phi, flavor="three_bounded")
-        return phi
 
     def occurrences(self, var: int) -> tuple[list[int], list[int]]:
         """(positive clause indices, negative clause indices), 1-based, ascending."""

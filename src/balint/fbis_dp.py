@@ -91,23 +91,44 @@ def solve_fbis_dp(
     instances are refused without running the DP.  Raises GuardError when
     (f+1)^k > VECTOR_GUARD.
     """
+    stats = {} if stats is None else stats
     if f < 1:
         raise ValueError("f must be >= 1")
     _check_params(inst, f)
     if inst.is_color_deficient():
-        if stats is not None:
-            stats.update(feasible=False, peak_states=0, reason="color-deficient")
+        stats.update(feasible=False, peak_states=0, reason="color-deficient")
         return None
     k = inst.k
     target = (f + 1) ** k - 1
     view = build_sorted_view(inst)
     levels = _run_dp(view, k, f)
     feasible = bool(levels[-1] >> target & 1)
-    if stats is not None:
-        stats.update(peak_states=levels[-1].bit_count(), feasible=feasible)
+    stats.update(peak_states=levels[-1].bit_count(), feasible=feasible)
     if not feasible:
         return None
     return verified_solution(inst, "BIS", _reconstruct(view, levels, k, f, target), f)
+
+
+def max_colors(inst: ColoredIntervalInstance) -> int:
+    """The exact 1-MCIS optimum: the largest popcount of a set bit of the last
+    f = 1 level, whose components are binary digits.  The m-digit vectors with
+    at least j ones are those with at least j in the lower m - 1 digits, plus
+    those with the top digit set and at least j - 1 below it; each band is
+    built from the previous one by doubling.  Raises GuardError when 2^k >
+    VECTOR_GUARD."""
+    _check_params(inst, 1)
+    k = inst.k
+    final = _run_dp(build_sorted_view(inst), k, 1)[-1]
+    at_least = [(1 << (1 << m)) - 1 for m in range(k + 1)]  # j = 0, for m = 0..k
+    best = 0
+    while best < k:
+        bands = [0]
+        for m in range(k):
+            bands.append(bands[m] | at_least[m] << (1 << m))
+        if not final & bands[k]:
+            break
+        best, at_least = best + 1, bands
+    return best
 
 
 def max_f(inst: ColoredIntervalInstance, stats: dict | None = None) -> int:
@@ -128,14 +149,14 @@ def max_f_with_witness(
 ) -> tuple[int, SolutionSet | None]:
     """max_f plus a witness trimmed to exactly that many intervals per color,
     from the lowest final vector (in lexicographic order) with that minimum."""
+    stats = {} if stats is None else stats
     if inst.k == 0:
         return 0, None
     k = inst.k
     view = build_sorted_view(inst)
     cap = min(min(map(len, inst.color_class_ids())), len(greedy_independent(view)) // k)
     if cap == 0:
-        if stats is not None:
-            stats.update(peak_states=0, max_f=0)
+        stats.update(peak_states=0, max_f=0)
         return 0, None
     _check_params(inst, cap)
     levels = _run_dp(view, k, cap)
@@ -148,8 +169,7 @@ def max_f_with_witness(
         if not above:
             break
         best, hits = best + 1, above
-    if stats is not None:
-        stats.update(peak_states=final.bit_count(), max_f=best)
+    stats.update(peak_states=final.bit_count(), max_f=best)
     if best == 0:
         return 0, None
     ids = sorted(_reconstruct(view, levels, k, cap, (hits & -hits).bit_length() - 1))

@@ -102,16 +102,14 @@ def solve_fbis_vc(
     least f intervals of every color, the f lowest ids per color.  Runs in
     O(2^tau n); raises GuardError when tau > TAU_GUARD (use the DP instead).
     """
+    stats = {} if stats is None else stats
     if f < 1:
         raise ValueError("f must be >= 1")
     view = build_sorted_view(inst)
     decomp = _decompose(inst, view)
-    if stats is not None:
-        stats["tau"] = decomp.tau
-        stats["candidates_examined"] = 0
+    stats.update(tau=decomp.tau, candidates_examined=0)
     if inst.is_color_deficient():
-        if stats is not None:
-            stats.update(feasible=False, reason="color-deficient")
+        stats.update(feasible=False, reason="color-deficient")
         return None
     if decomp.tau > TAU_GUARD:
         raise GuardError(
@@ -125,10 +123,8 @@ def solve_fbis_vc(
         if all((candidate & m).bit_count() >= f for m in color_masks):
             picked = [id for m in color_masks for id in _bits(candidate & m)[:f]]
             sol = verified_solution(inst, "BIS", picked, f)
-            if stats is not None:
-                stats.update(feasible=True, candidates_examined=examined)
+            stats.update(feasible=True, candidates_examined=examined)
             return sol
     assert examined <= 2 ** decomp.tau
-    if stats is not None:
-        stats.update(feasible=False, candidates_examined=examined)
+    stats.update(feasible=False, candidates_examined=examined)
     return None

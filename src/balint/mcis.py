@@ -37,9 +37,9 @@ class LocalSearchConfig:
 
 
 def greedy_mcis(inst: ColoredIntervalInstance, stats: dict | None = None) -> SolutionSet:
+    stats = {} if stats is None else stats
     sol = verified_solution(inst, "MCIS", _greedy_ids(build_sorted_view(inst)), 1)
-    if stats is not None:
-        stats["colors"] = sol.distinct_colors
+    stats["colors"] = sol.distinct_colors
     return sol
 
 
@@ -133,6 +133,7 @@ def local_search_mcis(
     color count rises by at least one per round and the loop runs at most k
     rounds.  Raises GuardError when n^(2b) exceeds cfg.neighbor_budget.
     """
+    stats = {} if stats is None else stats
     _guard_budget(inst.n, cfg.b, cfg.neighbor_budget)
     view = build_sorted_view(inst)
     masks = neighborhood_masks(inst, view)
@@ -147,10 +148,7 @@ def local_search_mcis(
         rounds += 1
         assert rounds <= inst.k
     sol = verified_solution(inst, "MCIS", current, 1)
-    if stats is not None:
-        stats.update(
-            colors=sol.distinct_colors, rounds=rounds, neighbors_evaluated=counter[0]
-        )
+    stats.update(colors=sol.distinct_colors, rounds=rounds, neighbors_evaluated=counter[0])
     return sol
 
 

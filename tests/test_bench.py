@@ -3,6 +3,9 @@ from __future__ import annotations
 import csv
 import io
 
+import pytest
+
+from balint import GenSpec, GuardError, generate, oracle_mcis
 from balint.bench import (
     BENCH_FIELDS,
     BenchRow,
@@ -48,11 +51,23 @@ def test_quality_suite_deterministic_results():
     assert stable(a) == stable(b)
 
 
-def test_quality_suite_parallel_matches_serial():
-    serial = run_quality_suite(count=2, n=10, k=3, reps=1, jobs=1)
-    parallel = run_quality_suite(count=2, n=10, k=3, reps=1, jobs=2)
-    key = lambda rows: [(r.instance, r.method, r.result, r.ratio) for r in rows]
-    assert key(serial) == key(parallel)
+def test_quality_suite_optimum_matches_oracle():
+    for row in run_quality_suite(count=4, n=12, k=4, reps=1):
+        seed = int(row.instance.rsplit("-s", 1)[1])
+        inst = generate(GenSpec(n=12, k=4, seed=seed))
+        assert int(row.optimum) == oracle_mcis(inst).distinct_colors
+
+
+def test_quality_suite_answers_past_the_oracle_budget():
+    # the exhaustive oracle refuses this instance (42162120+ combinations)
+    inst = generate(GenSpec(n=80, k=7, seed=0))
+    with pytest.raises(GuardError):
+        oracle_mcis(inst)
+    rows = run_quality_suite(count=1, n=80, k=7, reps=1)
+    assert [(r.method, r.result, r.optimum, r.ratio) for r in rows] == [
+        ("greedy", "6", "7", "0.8571"),
+        ("local", "7", "7", "1.0000"),
+    ]
 
 
 def test_quality_summary_mean():

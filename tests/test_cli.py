@@ -271,6 +271,23 @@ def test_bench_dp_scaling_custom_sizes(tmp_path, capsys):
     assert len(report["doubling_ratios"]) == 1
 
 
+@pytest.mark.parametrize(
+    "suite_args",
+    [
+        ["--suite", "quality", "--count", "1", "--n", "8", "--k", "0", "--reps", "1"],
+        ["--suite", "dp-scaling", "--sizes", "32", "--k", "0", "--reps", "1"],
+    ],
+)
+def test_refused_bench_leaves_out_file_alone(tmp_path, capsys, suite_args):
+    fresh, existing = tmp_path / "fresh.csv", tmp_path / "existing.csv"
+    existing.write_bytes(b"earlier rows\r\n")
+    for target in (fresh, existing):
+        code, out, err = run(["bench", *suite_args, "--out", str(target)], capsys)
+        assert (code, out, err) == (1, "", "error: need n >= 0 and k >= 1\n")
+    assert not fresh.exists()
+    assert existing.read_bytes() == b"earlier rows\r\n"
+
+
 def test_oracle_requires_dev_flag(inst_file, capsys):
     code, out, err = run(["oracle", "bis", "--f", "1", inst_file], capsys)
     assert code == 64
@@ -352,6 +369,19 @@ def test_failed_verification_exits_one(inst_file, capsys, monkeypatch):
     code, _, err = run(["solve", "mcis", inst_file], capsys)
     assert code == 1
     assert "fails verification" in err
+
+
+def test_unverified_oracle_answer_exits_one(inst_file, capsys, monkeypatch):
+    import balint.cli
+    from balint import solution_from_ids
+
+    # intervals 0 = [0, 2] and 1 = [1, 3] clash
+    monkeypatch.setattr(
+        balint.cli, "oracle_fbis", lambda inst, f, budget: solution_from_ids(inst, "BIS", [0, 1])
+    )
+    code, out, err = run(["oracle", "--dev", "bis", "--f", "1", inst_file], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: BIS solution with f=1 fails verification")
 
 
 def test_installed_entry_point_matches_run_cli(tmp_path):

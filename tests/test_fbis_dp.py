@@ -9,9 +9,11 @@ from balint import (
     GuardError,
     build_sorted_view,
     generate,
+    max_colors,
     max_f,
     max_f_with_witness,
     oracle_fbis,
+    oracle_mcis,
     solve_fbis_dp,
     verify_solution,
 )
@@ -215,3 +217,42 @@ def test_max_f_packed_pass_on_large_instance():
     assert best == 13
     assert verify_solution(inst, witness, best).valid
     assert solve_fbis_dp(inst, 14) is None
+
+
+@pytest.mark.parametrize(
+    "model, sizes, seeds",
+    [
+        ("uniform-random", [(n, k) for n in (1, 6, 12, 16) for k in (1, 2, 4, 6)], 8),
+        ("proper-unit", [(n, k) for n in (1, 6, 12, 16) for k in (1, 3, 5)], 8),
+        ("greedy-adversarial", [(n, 1) for n in (3, 9, 15, 24)], 1),  # seed is unused
+    ],
+)
+def test_max_colors_matches_oracle_mcis(model, sizes, seeds):
+    for n, k in sizes:
+        for seed in range(seeds):
+            inst = generate(GenSpec(n=n, k=k, seed=seed, model=model))
+            assert max_colors(inst) == oracle_mcis(inst).distinct_colors, (n, k, seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=instances(max_n=14, max_k=6))
+def test_max_colors_matches_oracle_on_drawn_instances(inst: ColoredIntervalInstance):
+    assert max_colors(inst) == oracle_mcis(inst).distinct_colors
+
+
+def test_max_colors_edge_cases():
+    assert max_colors(build_instance(0, [])) == 0
+    assert max_colors(build_instance(1, [(0, 4, 1), (1, 2, 1)])) == 1
+    # colors 2 and 4 have no interval; 1 and 3 overlap, so only two are reachable
+    deficient = build_instance(5, [(0, 3, 1), (2, 5, 3), (7, 8, 5)])
+    assert deficient.is_color_deficient()
+    assert max_colors(deficient) == oracle_mcis(deficient).distinct_colors == 2
+    # greedy keeps one color per block, the optimum two
+    adversarial = generate(GenSpec(n=30, k=1, seed=0, model="greedy-adversarial"))
+    assert max_colors(adversarial) == adversarial.k == 20
+
+
+def test_max_colors_vector_guard():
+    assert max_colors(build_instance(20, [(3 * c, 3 * c + 1, c + 1) for c in range(20)])) == 20
+    with pytest.raises(GuardError):
+        max_colors(build_instance(27, [(3 * c, 3 * c + 1, c + 1) for c in range(27)]))
