@@ -7,7 +7,8 @@ the f = 1 vector DP (fbis_dp.max_colors), and ratio = result / optimum.  Wall
 times are medians of `reps` runs of the solve call alone (parsing, generation
 and the optimum excluded).  Rows are appended and flushed as they complete.
 `out` is a text stream, or a function that opens one; a suite calls it only
-after its GenSpecs have passed their checks, so a refused run opens nothing.
+after its GenSpecs (and, for quality, the local-search guard) have passed
+their checks, so a refused run opens nothing.
 """
 
 from __future__ import annotations
@@ -20,7 +21,13 @@ from typing import Callable, TextIO
 
 from .fbis_dp import max_colors, solve_fbis_dp
 from .gen import GenSpec, generate
-from .mcis import LocalSearchConfig, greedy_mcis, local_search_mcis
+from .mcis import (
+    NEIGHBOR_BUDGET,
+    LocalSearchConfig,
+    _guard_budget,
+    greedy_mcis,
+    local_search_mcis,
+)
 
 BENCH_FIELDS = (
     "instance",
@@ -135,8 +142,10 @@ def run_quality_suite(
 ) -> list[BenchRow]:
     """Color-count quality of greedy and b-swap local search against the exact
     optimum on uniform-random instances."""
-    # the specs check n and k before the sink writes the CSV header
+    # the specs check n and k, and the local-search guard n and b, before the
+    # sink writes the CSV header
     specs = [GenSpec(n=n, k=k, seed=seed + i, model="uniform-random") for i in range(count)]
+    _guard_budget(n, b, NEIGHBOR_BUDGET)
     sink = _RowSink(out)
     for spec in specs:
         for row in _quality_task(spec, b, reps):

@@ -5,7 +5,11 @@ independent set, so its complement is a minimum vertex cover (size tau).
 Every maximal independent set has the form (V_ind u S) \\ N(S) for some
 independent S inside the cover, so scanning those at most 2^tau candidates
 and keeping one with at least f intervals of every color decides the problem.
-Preferable to the vector DP when tau is small; refuses when tau > TAU_GUARD.
+The scan is a branch-and-bound walk: below a node it can only add the cover
+vertices not yet decided and only clear V_ind bits, so a node is cut once some
+color's count plus its undecided cover vertices falls below f.  O(2^tau n) is
+the worst case.  Preferable to the vector DP when tau is small; refuses when
+tau > TAU_GUARD.
 """
 
 from __future__ import annotations
@@ -64,33 +68,59 @@ def enumerate_swap_candidates(
     prunes exactly the non-independent S.  The empty S (candidate V_ind) comes
     first.  Every maximal independent set of the instance is yielded.
     """
-    view = build_sorted_view(inst)
-    for candidate in _candidate_masks(view, neighborhood_masks(inst, view), decomp):
+    for candidate in _walk(inst, build_sorted_view(inst), decomp, 0, [0, 0]):
         yield frozenset(_bits(candidate))
 
 
-def _candidate_masks(
-    view: SortedView, masks: list[int], decomp: VertexCoverDecomposition
+def _walk(
+    inst: ColoredIntervalInstance,
+    view: SortedView,
+    decomp: VertexCoverDecomposition,
+    f: int,
+    counts: list[int],
 ) -> Iterator[int]:
-    """enumerate_swap_candidates as bitmasks.  Choosing cover vertex s clears
-    its closed neighborhood and sets its own bit; the chosen vertices are
-    pairwise disjoint, so none clears another."""
-    cover = [
-        (pos, id)
-        for pos, id in enumerate(view.order, start=1)
-        if id in decomp.cover
-    ]
+    """Candidates with at least f intervals of every color, as bitmasks, in
+    enumerate_swap_candidates order ("exclude" before "include").  Choosing
+    cover vertex s clears its closed neighborhood and sets its own bit; the
+    chosen vertices are pairwise disjoint, so none clears another.
 
-    def walk(idx: int, candidate: int, last: int):
-        if idx == len(cover):
+    A node at walk index i is cut when some color's count plus remaining[i],
+    its cover vertices at index >= i, is below f: at a leaf that is the
+    feasibility test, and at f = 0 nothing is cut.  counts is kept at [nodes
+    visited, leaves reached], cut ones included.
+    """
+    cover = [(pos, id) for pos, id in enumerate(view.order, start=1) if id in decomp.cover]
+    tau = len(cover)
+    color_masks = [sum(1 << id for id in ids) for ids in inst.color_class_ids()]
+    remaining = [[0] * inst.k]
+    for _, id in reversed(cover):
+        row = remaining[-1][:]
+        row[inst.colors[id] - 1] += 1
+        remaining.append(row)
+    remaining.reverse()
+    masks = neighborhood_masks(inst, view)
+    prev = view.prev
+    nodes = leaves = 0
+    stack = [(0, sum(1 << id for id in decomp.independent), 0)]
+    while stack:
+        idx, candidate, last = stack.pop()
+        nodes += 1
+        if idx == tau:
+            leaves += 1
+        if f and any(
+            (candidate & m).bit_count() + r < f
+            for m, r in zip(color_masks, remaining[idx])
+        ):
+            continue
+        if idx == tau:
+            counts[:] = nodes, leaves
             yield candidate
-            return
-        yield from walk(idx + 1, candidate, last)
+            continue
         pos, id = cover[idx]
-        if view.prev[pos - 1] >= last:
-            yield from walk(idx + 1, (candidate & ~masks[id]) | (1 << id), pos)
-
-    yield from walk(0, sum(1 << id for id in decomp.independent), 0)
+        if prev[pos - 1] >= last:
+            stack.append((idx + 1, (candidate & ~masks[id]) | (1 << id), pos))
+        stack.append((idx + 1, candidate, last))
+    counts[:] = nodes, leaves
 
 
 def solve_fbis_vc(
@@ -98,9 +128,11 @@ def solve_fbis_vc(
 ) -> SolutionSet | None:
     """Return an independent set with exactly f intervals per color, or None.
 
-    Streams the swap candidates and extracts, from the first candidate with at
-    least f intervals of every color, the f lowest ids per color.  Runs in
-    O(2^tau n); raises GuardError when tau > TAU_GUARD (use the DP instead).
+    Takes the f lowest ids per color from the first leaf that survives the
+    walk's cut; the cut drops only subtrees without a feasible leaf, so that
+    is the first feasible candidate of the full scan.  O(2^tau n) in the worst
+    case; raises GuardError when tau > TAU_GUARD (use the DP instead).  stats
+    gains tau, candidates_examined (leaves reached), feasible and nodes.
     """
     stats = {} if stats is None else stats
     if f < 1:
@@ -109,22 +141,22 @@ def solve_fbis_vc(
     decomp = _decompose(inst, view)
     stats.update(tau=decomp.tau, candidates_examined=0)
     if inst.is_color_deficient():
-        stats.update(feasible=False, reason="color-deficient")
+        stats.update(feasible=False, nodes=0, reason="color-deficient")
         return None
     if decomp.tau > TAU_GUARD:
         raise GuardError(
             f"tau = {decomp.tau} exceeds {TAU_GUARD}; 2^tau enumeration refused "
             "(the vector DP handles this instance)"
         )
-    color_masks = [sum(1 << id for id in ids) for ids in inst.color_class_ids()]
-    examined = 0
-    for candidate in _candidate_masks(view, neighborhood_masks(inst, view), decomp):
-        examined += 1
-        if all((candidate & m).bit_count() >= f for m in color_masks):
-            picked = [id for m in color_masks for id in _bits(candidate & m)[:f]]
-            sol = verified_solution(inst, "BIS", picked, f)
-            stats.update(feasible=True, candidates_examined=examined)
-            return sol
-    assert examined <= 2 ** decomp.tau
-    stats.update(feasible=False, candidates_examined=examined)
-    return None
+    counts = [0, 0]
+    candidate = next(_walk(inst, view, decomp, f, counts), None)
+    nodes, examined = counts
+    if candidate is None:
+        stats.update(feasible=False, candidates_examined=examined, nodes=nodes)
+        return None
+    picked = []
+    for ids in inst.color_class_ids():
+        picked += [id for id in ids if candidate >> id & 1][:f]
+    sol = verified_solution(inst, "BIS", picked, f)
+    stats.update(feasible=True, candidates_examined=examined, nodes=nodes)
+    return sol

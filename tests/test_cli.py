@@ -279,11 +279,27 @@ def test_bench_dp_scaling_custom_sizes(tmp_path, capsys):
     ],
 )
 def test_refused_bench_leaves_out_file_alone(tmp_path, capsys, suite_args):
+    _assert_refusal_leaves_out_alone(
+        tmp_path, capsys, suite_args, "error: need n >= 0 and k >= 1\n"
+    )
+
+
+def test_local_search_guard_refusal_leaves_out_file_alone(tmp_path, capsys):
+    # n = 178 passes the GenSpec check; the b = 2 neighbor budget refuses it
+    _assert_refusal_leaves_out_alone(
+        tmp_path,
+        capsys,
+        ["--suite", "quality", "--count", "2", "--n", "178", "--reps", "1"],
+        "error: n^(2b) = 1003875856 neighbor evaluations exceeds budget 1000000000\n",
+    )
+
+
+def _assert_refusal_leaves_out_alone(tmp_path, capsys, suite_args, error):
     fresh, existing = tmp_path / "fresh.csv", tmp_path / "existing.csv"
     existing.write_bytes(b"earlier rows\r\n")
     for target in (fresh, existing):
         code, out, err = run(["bench", *suite_args, "--out", str(target)], capsys)
-        assert (code, out, err) == (1, "", "error: need n >= 0 and k >= 1\n")
+        assert (code, out, err) == (1, "", error)
     assert not fresh.exists()
     assert existing.read_bytes() == b"earlier rows\r\n"
 

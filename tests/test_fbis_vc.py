@@ -7,8 +7,10 @@ from hypothesis import given, settings
 
 from balint import (
     ColoredIntervalInstance,
+    GenSpec,
     GuardError,
     enumerate_swap_candidates,
+    generate,
     minimum_vertex_cover,
     oracle_fbis,
     oracle_maximal_is,
@@ -136,3 +138,54 @@ def test_vc_matches_dp_and_oracle(inst: ColoredIntervalInstance):
         assert (got is None) == (oracle_fbis(inst, f) is None)
         if got is not None:
             assert verify_solution(inst, got, f).valid
+
+
+def _unpruned_witness(inst: ColoredIntervalInstance, f: int) -> frozenset[int] | None:
+    """The f lowest ids per color of the first swap candidate, in the full
+    unpruned scan, with at least f intervals of every color."""
+    for cand in enumerate_swap_candidates(inst, minimum_vertex_cover(inst)):
+        by_color = [sorted(i for i in cand if inst.colors[i] == c) for c in range(1, inst.k + 1)]
+        if all(len(ids) >= f for ids in by_color):
+            return frozenset(i for ids in by_color for i in ids[:f])
+    return None
+
+
+def _assert_matches_unpruned_scan(inst: ColoredIntervalInstance, f: int) -> dict:
+    stats: dict = {}
+    got = solve_fbis_vc(inst, f, stats)
+    assert (None if got is None else got.ids) == _unpruned_witness(inst, f)
+    assert stats["candidates_examined"] <= 2 ** stats["tau"]
+    assert stats["nodes"] <= 2 ** (stats["tau"] + 1) - 1
+    return stats
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=instances(max_n=16, max_k=3))
+def test_pruned_walk_matches_unpruned_scan(inst: ColoredIntervalInstance):
+    for f in (1, 2, 3):
+        _assert_matches_unpruned_scan(inst, f)
+
+
+def test_pruned_walk_matches_unpruned_scan_seeded():
+    # proper-unit n = 48, k = 4, f = alpha // 4 is the bis-vc benchmark shape
+    for seed in range(30):
+        inst = generate(GenSpec(n=48, k=4, seed=seed, model="proper-unit"))
+        alpha = len(minimum_vertex_cover(inst).independent)
+        _assert_matches_unpruned_scan(inst, alpha // 4)
+    rng = Random(7)
+    for seed in range(60):
+        spec = GenSpec(n=rng.randint(12, 20), k=rng.randint(2, 4), seed=seed)
+        inst = generate(spec)
+        for f in (1, 2, 3):
+            _assert_matches_unpruned_scan(inst, f)
+
+
+def test_pruned_walk_visits_far_fewer_nodes_than_unpruned_candidates():
+    inst = generate(GenSpec(n=48, k=4, seed=32, model="proper-unit"))
+    decomp = minimum_vertex_cover(inst)
+    f = len(decomp.independent) // 4
+    stats: dict = {}
+    assert solve_fbis_vc(inst, f, stats) is None
+    unpruned = sum(1 for _ in enumerate_swap_candidates(inst, decomp))
+    assert stats["tau"] == decomp.tau == 16
+    assert 1 < stats["nodes"] and 100 * stats["nodes"] < unpruned
