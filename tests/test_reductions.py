@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import replace
 from random import Random
@@ -22,6 +23,7 @@ from balint import (
     random_tptn_uniform3,
     reduce_domset,
     reduce_indset,
+    serialize_instance,
     solution_from_ids,
     solve_fbds_brute,
     solve_fbis_dp,
@@ -311,10 +313,69 @@ def test_metadata_json_rejects_malformed_shape(data):
         GadgetMetadata.from_json_dict(data)
 
 
+def _dealt_tptn(num_vars: int, rng: Random) -> CnfFormula:
+    """A 2P2N formula with clauses of 1-3 literals: deal each variable's four
+    signed occurrences into clauses of random sizes until every clause
+    mentions distinct variables."""
+    slots = [lit for v in range(1, num_vars + 1) for lit in (v, v, -v, -v)]
+    while True:
+        rng.shuffle(slots)
+        clauses, i = [], 0
+        while i < len(slots):
+            size = rng.randint(1, 3)
+            clauses.append(tuple(slots[i : i + size]))
+            i += size
+        if all(len({abs(lit) for lit in c}) == len(c) for c in clauses):
+            return CnfFormula.build(num_vars, clauses)
+
+
+def _pinned_family():
+    """(reducer, formula) pairs covering every gadget: 3-bounded formulas with
+    singletons, edges and paths of both majorities, uniform 2P2N formulas,
+    and 2P2N formulas with 1- and 2-literal clauses."""
+    family = []
+    for seed in range(60):
+        rng = Random(seed)
+        num_vars = (2, 3, 5, 8, 13, 40)[seed % 6]
+        family.append((reduce_indset, random_three_bounded(num_vars, rng)))
+        family.append((reduce_domset, random_tptn_uniform3(3 * (1 + seed % 8), rng)))
+        family.append((reduce_domset, _dealt_tptn(1 + seed % 10, rng)))
+    return family
+
+
+PINNED_FAMILY = _pinned_family()
+
+
+def test_pinned_family_covers_every_gadget():
+    shapes = set()
+    for reducer, phi in PINNED_FAMILY:
+        if reducer is reduce_indset:
+            for pos, neg in phi.occurrence_lists[1:]:
+                shapes.add((len(pos), len(neg)) if pos and neg else "singleton")
+        else:
+            shapes.update(len(c) for c in phi.clauses)
+    assert {"singleton", (1, 1), (2, 1), (1, 2), 1, 2, 3} <= shapes
+
+
+# sha256 of every reduced instance and its metadata JSON over PINNED_FAMILY:
+# the reductions' layout, ids, colors and metadata format, byte for byte.
+PINNED_FAMILY_DIGEST = "4b8c6e897c663c16f9e924d0a21198ce5786a3263614028ea0f13a4d19ad13d3"
+
+
+def test_reductions_are_pinned_over_a_seeded_family():
+    digest = hashlib.sha256()
+    for reducer, phi in PINNED_FAMILY:
+        inst, meta = reducer(phi)
+        text = serialize_instance(inst) + json.dumps(meta.to_json_dict())
+        digest.update(text.encode())
+    assert digest.hexdigest() == PINNED_FAMILY_DIGEST
+
+
 def test_metadata_json_round_trip():
-    for phi, reducer in ((EDGE_FORMULA, reduce_indset), (TPTN, reduce_domset)):
+    pairs = [(reduce_indset, EDGE_FORMULA), (reduce_domset, TPTN), *PINNED_FAMILY]
+    for reducer, phi in pairs:
         _, meta = reducer(phi)
-        again = GadgetMetadata.from_json_dict(meta.to_json_dict())
+        again = GadgetMetadata.from_json_dict(json.loads(json.dumps(meta.to_json_dict())))
         assert again == meta
         assert again.formula() == phi
 
