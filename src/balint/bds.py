@@ -50,13 +50,15 @@ def solve_fbds_brute(
     """Return a dominating set with exactly f intervals of every color, or None.
 
     Raises GuardError when the product of per-class C(size, f) combination
-    counts exceeds COMBINATION_GUARD.
+    counts exceeds COMBINATION_GUARD.  stats gets combinations_tried, the
+    combinations drawn at every class level, and combinations_bound, the most
+    it can reach: the sum over levels t of prod_{s<=t} C(|class_s|, f).
     """
     stats = {} if stats is None else stats
     if f < 1:
         raise ValueError("f must be >= 1")
     classes = sorted(inst.color_class_ids(), key=lambda ids: (len(ids), ids))
-    total = 1
+    total, bound = 1, 0
     for ids in classes:
         total *= comb(len(ids), f)
         if total > COMBINATION_GUARD:
@@ -64,7 +66,8 @@ def solve_fbds_brute(
                 f"{total}+ balanced combinations exceeds {COMBINATION_GUARD}; "
                 "instance too large for exact BDS"
             )
-    stats.update(combinations_bound=total, combinations_tried=0, feasible=False)
+        bound += total
+    stats.update(combinations_bound=bound, combinations_tried=0, feasible=False)
     if total == 0:
         return None
     index = DominationIndex.from_instance(inst)

@@ -5,14 +5,18 @@ vertex per literal occurrence and one color per clause: the instance has a
 1-balanced independent set iff the formula is satisfiable.  Per variable the
 positive and negative occurrences form a complete bipartite gadget, which
 under the occurrence bound is an isolated vertex, an edge, or a 3-vertex path
-with the minority polarity in the middle; each connected component is laid
-out from a template at its own offset.
+with the minority polarity in the middle.
 
 reduce_domset maps a formula whose every variable occurs exactly twice
 positively and twice negatively to a proper interval instance with five
 colors per variable: a 6-vertex variable gadget (two leaf-hub-leaf paths) plus
 a clique of up to three vertices per clause.  The instance has a 1-balanced
 dominating set iff the formula is satisfiable.
+
+Both reductions list their connected components in id order, each as a
+template and its colors, and _layout places component c at offset
+c * COMPONENT_STRIDE.  Every template is proper and components never meet, so
+the result is proper; building the instance still checks that.
 
 A GadgetMetadata sidecar records the role of every interval, the per-variable
 vertex ids and clause incidences, and the source formula, so solutions can be
@@ -24,6 +28,7 @@ instance, so mismatched files fail with ValueError.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 from .cnf import CnfFormula
 from .model import (
@@ -38,10 +43,11 @@ from .model import (
 
 COMPONENT_STRIDE = 100
 
-EDGE_COORDS = ((0, 4), (2, 6))
-PATH_COORDS = ((0, 4), (2, 6), (5, 9))  # middle vertex is the (2, 6) one
-TRIANGLE_COORDS = ((0, 4), (1, 5), (2, 6))
-SINGLETON_COORDS = ((0, 4),)
+# Component templates as (lefts, rights) columns relative to the offset.
+EDGE_COORDS = ((0, 2), (4, 6))
+PATH_COORDS = ((0, 2, 5), (4, 6, 9))  # middle vertex is the [2, 6] one
+TRIANGLE_COORDS = ((0, 1, 2), (4, 5, 6))
+SINGLETON_COORDS = ((0,), (4,))
 
 
 @dataclass(frozen=True)
@@ -96,7 +102,8 @@ ROLE_TAGS = {cls: tag for tag, cls in ROLE_TYPES.items()}
 # The JSON type read for each record field annotation; tuple means a tuple of
 # ints.  A field of any other type fails here, at import, with a KeyError.
 _JSON_TYPES = {"int": int, "bool": bool, "str": str, "tuple[int, int]": tuple}
-# (name, JSON type) of each record's constructor fields
+# (name, JSON type) of each record's constructor fields, as _to_json writes them
+# and _from_json reads them
 _JSON_FIELDS = {
     cls: tuple((f.name, _JSON_TYPES[f.type]) for f in fields(cls) if f.init)
     for cls in (*ROLE_TYPES.values(), VariableGadget)
@@ -104,12 +111,11 @@ _JSON_FIELDS = {
 
 
 def _to_json(obj) -> dict:
-    """A dataclass's constructor fields as a JSON object; tuples become lists."""
-
-    def value(v):
-        return [value(x) for x in v] if isinstance(v, tuple) else v
-
-    return {f.name: value(getattr(obj, f.name)) for f in fields(obj) if f.init}
+    """A record's _JSON_FIELDS as a JSON object; tuples become lists."""
+    return {
+        name: list(getattr(obj, name)) if kind is tuple else getattr(obj, name)
+        for name, kind in _JSON_FIELDS[type(obj)]
+    }
 
 
 def _from_json(cls, data):
@@ -153,16 +159,14 @@ class GadgetMetadata:
     clauses: tuple[tuple[int, ...], ...]
     roles: dict[int, object] = field(default_factory=dict)
     variable_gadgets: dict[int, VariableGadget] = field(default_factory=dict)
-    _occurrence_ids: dict[tuple[int, int], int] = field(
-        init=False, repr=False, compare=False
-    )
 
-    def __post_init__(self):
-        object.__setattr__(self, "_occurrence_ids", {
+    @cached_property
+    def _occurrence_ids(self) -> dict[tuple[int, int], int]:
+        return {
             (role.variable, role.clause): id
             for id, role in self.roles.items()
             if isinstance(role, OccurrenceRole)
-        })
+        }
 
     def formula(self) -> CnfFormula:
         return CnfFormula.build(self.num_vars, self.clauses)
@@ -174,15 +178,18 @@ class GadgetMetadata:
             raise KeyError(f"no occurrence of x{variable} in clause {clause}") from None
 
     def to_json_dict(self) -> dict:
-        data = _to_json(self)
-        data["roles"] = {
-            str(id): {"type": ROLE_TAGS[type(role)], **_to_json(role)}
-            for id, role in self.roles.items()
+        return {
+            "kind": self.kind,
+            "num_vars": self.num_vars,
+            "clauses": [list(c) for c in self.clauses],
+            "roles": {
+                str(id): {"type": ROLE_TAGS[type(role)], **_to_json(role)}
+                for id, role in self.roles.items()
+            },
+            "variable_gadgets": {
+                str(var): _to_json(g) for var, g in self.variable_gadgets.items()
+            },
         }
-        data["variable_gadgets"] = {
-            str(var): _to_json(g) for var, g in self.variable_gadgets.items()
-        }
-        return data
 
     @staticmethod
     def from_json_dict(data) -> "GadgetMetadata":
@@ -237,30 +244,17 @@ def _check_metadata(inst: ColoredIntervalInstance, meta: GadgetMetadata, kind: s
     ):
         raise ValueError("metadata variable gadgets do not match the instance")
 
-class _Builder:
-    """Accumulates interval columns component by component, spacing
-    components apart."""
 
-    def __init__(self):
-        self.lefts: list[int] = []
-        self.rights: list[int] = []
-        self.colors: list[int] = []
-        self.components = 0
-
-    def add_component(self, coords, colors) -> range:
-        base = self.components * COMPONENT_STRIDE
-        self.components += 1
-        first = len(self.lefts)
-        for (left, right), color in zip(coords, colors):
-            self.lefts.append(base + left)
-            self.rights.append(base + right)
-            self.colors.append(color)
-        return range(first, len(self.lefts))
-
-    def instance(self, k: int) -> ColoredIntervalInstance:
-        return ColoredIntervalInstance.from_columns(
-            k, self.lefts, self.rights, self.colors, proper_flag=True
-        )
+def _layout(k: int, components) -> ColoredIntervalInstance:
+    """The instance of components listed in id order as (template, colors)
+    pairs, component c shifted by c * COMPONENT_STRIDE."""
+    lefts, rights, colors = [], [], []
+    for c, ((template_lefts, template_rights), component_colors) in enumerate(components):
+        base = c * COMPONENT_STRIDE
+        lefts += map(base.__add__, template_lefts)
+        rights += map(base.__add__, template_rights)
+        colors += component_colors
+    return ColoredIntervalInstance.from_columns(k, lefts, rights, colors, proper_flag=True)
 
 
 def reduce_indset(phi: CnfFormula) -> tuple[ColoredIntervalInstance, GadgetMetadata]:
@@ -275,31 +269,28 @@ def reduce_indset(phi: CnfFormula) -> tuple[ColoredIntervalInstance, GadgetMetad
     if phi.clauses and phi.flavor != "three_bounded":
         raise ValueError("formula is not 3-bounded (clauses of 2-3 literals, "
                          "each variable in at most 3 clauses)")
-    builder = _Builder()
-    roles: dict[int, object] = {}
-
-    def emit(coords, occurrences):
-        ids = builder.add_component(coords, [j for j, _ in occurrences])
-        for id, (j, positive) in zip(ids, occurrences):
-            roles[id] = OccurrenceRole(variable=var, clause=j, positive=positive)
-
+    components = []
+    roles = []
     for var, (pos, neg) in enumerate(phi.occurrence_lists[1:], start=1):
         if pos and neg:
             if len(pos) + len(neg) == 2:
-                emit(EDGE_COORDS, [(pos[0], True), (neg[0], False)])
+                occurrences = ((pos[0], True), (neg[0], False))
             elif len(pos) == 2:
-                emit(PATH_COORDS, [(pos[0], True), (neg[0], False), (pos[1], True)])
+                occurrences = ((pos[0], True), (neg[0], False), (pos[1], True))
             else:
-                emit(PATH_COORDS, [(neg[0], False), (pos[0], True), (neg[1], False)])
+                occurrences = ((neg[0], False), (pos[0], True), (neg[1], False))
+            template = EDGE_COORDS if len(occurrences) == 2 else PATH_COORDS
+            components.append((template, [j for j, _ in occurrences]))
+            roles += [OccurrenceRole(var, j, positive) for j, positive in occurrences]
         else:
-            for j in pos:
-                emit(SINGLETON_COORDS, [(j, True)])
-            for j in neg:
-                emit(SINGLETON_COORDS, [(j, False)])
-    inst = builder.instance(len(phi.clauses))
+            positive = bool(pos)
+            for j in pos or neg:
+                components.append((SINGLETON_COORDS, (j,)))
+                roles.append(OccurrenceRole(var, j, positive))
+    inst = _layout(len(phi.clauses), components)
     assert inst.n == sum(len(c) for c in phi.clauses)
     meta = GadgetMetadata(
-        kind="indset", num_vars=phi.num_vars, clauses=phi.clauses, roles=roles
+        kind="indset", num_vars=phi.num_vars, clauses=phi.clauses, roles=dict(enumerate(roles))
     )
     return inst, meta
 
@@ -317,46 +308,35 @@ def reduce_domset(phi: CnfFormula) -> tuple[ColoredIntervalInstance, GadgetMetad
     if phi.flavor != "tptn":
         raise ValueError("formula is not 2P2N (every variable exactly twice "
                          "positive and twice negative, clauses of 1-3 literals)")
-    builder = _Builder()
-    roles: dict[int, object] = {}
-    gadget_parts: dict[int, dict] = {}
-
-    def z(var: int, part: int) -> int:
-        # parts: 1 = z_t1, 2 = z_t2, 3 = z_f1, 4 = z_f2, 5 = z_h
-        return 5 * (var - 1) + part
-
-    for var, (pos, neg) in enumerate(phi.occurrence_lists[1:], start=1):
-        t1, h_t, t2 = builder.add_component(
-            PATH_COORDS, [z(var, 1), z(var, 5), z(var, 2)]
-        )
-        f1, h_f, f2 = builder.add_component(
-            PATH_COORDS, [z(var, 3), z(var, 5), z(var, 4)]
-        )
-        for id, name in ((t1, "t1"), (h_t, "h_t"), (t2, "t2"), (f1, "f1"), (h_f, "h_f"), (f2, "f2")):
-            roles[id] = HubRole(variable=var, name=name)
-        gadget_parts[var] = {
-            "t1": t1, "t2": t2, "f1": f1, "f2": f2, "h_t": h_t, "h_f": h_f,
-            "pos_clauses": tuple(pos), "neg_clauses": tuple(neg),
-        }
+    # Variable v's colors z_t1, z_t2, z_f1, z_f2, z_h are 5(v-1) + 1..5, and
+    # its t1, h_t, t2, f1, h_f, f2 are ids 6(v-1) + 0..5.
+    components = []
+    roles = []
+    for var in range(1, phi.num_vars + 1):
+        z = 5 * (var - 1)
+        components += (PATH_COORDS, (z + 1, z + 5, z + 2)), (PATH_COORDS, (z + 3, z + 5, z + 4))
+        roles += [HubRole(var, name) for name in ("t1", "h_t", "t2", "f1", "h_f", "f2")]
+    # clause_ids[v] holds v's c_t1, c_t2, c_f1, c_f2: part 1..4 of a clause
+    # vertex names both its slot in that list and its leaf color
+    clause_ids = [[0] * 4 for _ in range(phi.num_vars + 1)]
     for j, clause in enumerate(phi.clauses, start=1):
-        coords = {3: TRIANGLE_COORDS, 2: EDGE_COORDS, 1: SINGLETON_COORDS}[len(clause)]
         colors = []
-        slots = []
         for lit in clause:
             var, positive = abs(lit), lit > 0
-            occurrences = gadget_parts[var]["pos_clauses" if positive else "neg_clauses"]
-            slot = 1 if occurrences[0] == j else 2
-            colors.append(z(var, (1 if positive else 3) + slot - 1))
-            slots.append((var, positive, slot))
-        ids = builder.add_component(coords, colors)
-        for id, (var, positive, slot) in zip(ids, slots):
-            roles[id] = ClauseRole(clause=j, variable=var, positive=positive, slot=slot)
-            key = ("c_t" if positive else "c_f") + str(slot)
-            gadget_parts[var][key] = id
-    gadgets = {
-        var: VariableGadget(**parts) for var, parts in gadget_parts.items()
-    }
-    inst = builder.instance(5 * phi.num_vars)
+            slot = 1 if phi.occurrence_lists[var][lit < 0][0] == j else 2
+            part = (0 if positive else 2) + slot
+            colors.append(5 * (var - 1) + part)
+            clause_ids[var][part - 1] = len(roles)
+            roles.append(ClauseRole(j, var, positive, slot))
+        template = (SINGLETON_COORDS, EDGE_COORDS, TRIANGLE_COORDS)[len(clause) - 1]
+        components.append((template, colors))
+    gadgets = {}
+    for var, (pos, neg) in enumerate(phi.occurrence_lists[1:], start=1):
+        t1 = 6 * (var - 1)
+        gadgets[var] = VariableGadget(
+            t1, t1 + 2, t1 + 3, t1 + 5, t1 + 1, t1 + 4, *clause_ids[var], pos, neg
+        )
+    inst = _layout(5 * phi.num_vars, components)
     assert inst.n == 6 * phi.num_vars + sum(len(c) for c in phi.clauses)
     assert edge_count(inst, build_sorted_view(inst)) == 4 * phi.num_vars + sum(
         len(c) * (len(c) - 1) // 2 for c in phi.clauses
@@ -365,7 +345,7 @@ def reduce_domset(phi: CnfFormula) -> tuple[ColoredIntervalInstance, GadgetMetad
         kind="domset",
         num_vars=phi.num_vars,
         clauses=phi.clauses,
-        roles=roles,
+        roles=dict(enumerate(roles)),
         variable_gadgets=gadgets,
     )
     return inst, meta

@@ -6,10 +6,12 @@ from hypothesis import example, given, settings
 from balint import (
     CnfFormula,
     ColoredIntervalInstance,
+    GenSpec,
     GuardError,
     canonicalize_bds,
     decode_domset,
     encode_domset_solution,
+    generate,
     oracle_fbds,
     reduce_domset,
     solution_from_ids,
@@ -76,6 +78,17 @@ def test_brute_stats_count_work():
     assert 1 <= stats["combinations_tried"] <= stats["combinations_bound"]
 
 
+def test_brute_bound_sums_the_combinations_of_each_level():
+    stats = {}
+    assert solve_fbds_brute(DEEP_INFEASIBLE, 1, stats) is None
+    assert sorted(map(len, DEEP_INFEASIBLE.color_class_ids())) == [3, 4, 5]
+    assert stats["combinations_bound"] == stats["combinations_tried"] == 75
+    stats = {}
+    empty = ColoredIntervalInstance.from_columns(0, [], [], [])
+    assert solve_fbds_brute(empty, 1, stats) is not None
+    assert stats["combinations_bound"] == 0
+
+
 @settings(max_examples=200, deadline=None)
 @given(inst=instances(max_n=24))
 @example(inst=build_instance(2, [(0, 4, 1), (1, 5, 2), (2, 6, 1), (9, 11, 2)]))
@@ -89,13 +102,21 @@ def test_domination_index_matches_pairwise_checks(inst: ColoredIntervalInstance)
     assert index.full_mask == (1 << inst.n) - 1
 
 
+# classes of 3, 4 and 5 intervals and no dominating set at f = 1: the search
+# draws 3 + 3*4 + 3*4*5 = 75 combinations, more than the product 60
+DEEP_INFEASIBLE = generate(GenSpec(n=12, k=3, seed=53))
+
+
 @settings(max_examples=150, deadline=None)
 @given(inst=instances(max_n=11, max_k=3))
+@example(inst=DEEP_INFEASIBLE)
 def test_brute_matches_oracle(inst: ColoredIntervalInstance):
     for f in (1, 2):
-        got = solve_fbds_brute(inst, f)
+        stats = {}
+        got = solve_fbds_brute(inst, f, stats)
         want = oracle_fbds(inst, f)
         assert (got is None) == (want is None)
+        assert stats["combinations_tried"] <= stats["combinations_bound"]
         if got is not None:
             assert verify_solution(inst, got, f).valid
 
