@@ -308,13 +308,12 @@ def reduce_domset(phi: CnfFormula) -> tuple[ColoredIntervalInstance, GadgetMetad
     if phi.flavor != "tptn":
         raise ValueError("formula is not 2P2N (every variable exactly twice "
                          "positive and twice negative, clauses of 1-3 literals)")
-    # Variable v's colors z_t1, z_t2, z_f1, z_f2, z_h are 5(v-1) + 1..5, and
-    # its t1, h_t, t2, f1, h_f, f2 are ids 6(v-1) + 0..5.
-    components = []
-    roles = []
+    # Variable v's colors z_t1, z_t2, z_f1, z_f2, z_h are 5(v-1) + 1..5.
+    components, roles, hub_ids = [], [], [()]
     for var in range(1, phi.num_vars + 1):
         z = 5 * (var - 1)
         components += (PATH_COORDS, (z + 1, z + 5, z + 2)), (PATH_COORDS, (z + 3, z + 5, z + 4))
+        hub_ids.append(range(len(roles), len(roles) + 6))
         roles += [HubRole(var, name) for name in ("t1", "h_t", "t2", "f1", "h_f", "f2")]
     # clause_ids[v] holds v's c_t1, c_t2, c_f1, c_f2: part 1..4 of a clause
     # vertex names both its slot in that list and its leaf color
@@ -332,9 +331,11 @@ def reduce_domset(phi: CnfFormula) -> tuple[ColoredIntervalInstance, GadgetMetad
         components.append((template, colors))
     gadgets = {}
     for var, (pos, neg) in enumerate(phi.occurrence_lists[1:], start=1):
-        t1 = 6 * (var - 1)
+        t1, h_t, t2, f1, h_f, f2 = hub_ids[var]
+        c_t1, c_t2, c_f1, c_f2 = clause_ids[var]
         gadgets[var] = VariableGadget(
-            t1, t1 + 2, t1 + 3, t1 + 5, t1 + 1, t1 + 4, *clause_ids[var], pos, neg
+            t1=t1, t2=t2, f1=f1, f2=f2, h_t=h_t, h_f=h_f,
+            c_t1=c_t1, c_t2=c_t2, c_f1=c_f1, c_f2=c_f2, pos_clauses=pos, neg_clauses=neg,
         )
     inst = _layout(5 * phi.num_vars, components)
     assert inst.n == 6 * phi.num_vars + sum(len(c) for c in phi.clauses)
@@ -442,15 +443,11 @@ def canonicalize_bds(
     for var in sorted(meta.variable_gadgets):
         g = meta.variable_gadgets[var]
         if g.h_t in ids:
-            ids.discard(g.t1)
-            ids.discard(g.t2)
-            ids.add(g.c_t1)
-            ids.add(g.c_t2)
+            ids.difference_update((g.t1, g.t2))
+            ids.update((g.c_t1, g.c_t2))
         elif g.h_f in ids:
-            ids.discard(g.f1)
-            ids.discard(g.f2)
-            ids.add(g.c_f1)
-            ids.add(g.c_f2)
+            ids.difference_update((g.f1, g.f2))
+            ids.update((g.c_f1, g.c_f2))
         else:
             raise ValueError(
                 f"metadata inconsistent with solution: variable x{var} has no hub vertex"
