@@ -371,6 +371,24 @@ def test_reductions_are_pinned_over_a_seeded_family():
     assert digest.hexdigest() == PINNED_FAMILY_DIGEST
 
 
+# sha256 over PINNED_FAMILY of the reduced instances alone, and of the roles
+# and variable gadgets alone: layout, ids, roles and gadgets, whatever the
+# metadata file stores.
+PINNED_INSTANCES_DIGEST = "5f33cf5b90276ff5092d6eb081cda66cfa545db16bd95506c4dbb1d28fe70b6b"
+PINNED_ROLES_DIGEST = "68e6d3fc6875b3d5e4dcd35aa491746cab5871362f89dedff9bde5b2388beba6"
+
+
+def test_instances_roles_and_gadgets_are_pinned_over_a_seeded_family():
+    instances, roles = hashlib.sha256(), hashlib.sha256()
+    for reducer, phi in PINNED_FAMILY:
+        inst, meta = reducer(phi)
+        instances.update(serialize_instance(inst).encode())
+        text = repr((sorted(meta.roles.items()), sorted(meta.variable_gadgets.items())))
+        roles.update(text.encode())
+    assert instances.hexdigest() == PINNED_INSTANCES_DIGEST
+    assert roles.hexdigest() == PINNED_ROLES_DIGEST
+
+
 def test_metadata_json_round_trip():
     pairs = [(reduce_indset, EDGE_FORMULA), (reduce_domset, TPTN), *PINNED_FAMILY]
     for reducer, phi in pairs:
