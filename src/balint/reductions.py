@@ -18,16 +18,21 @@ template and its colors, and _layout places component c at offset
 c * COMPONENT_STRIDE.  Every template is proper and components never meet, so
 the result is proper; building the instance still checks that.
 
-A GadgetMetadata sidecar records the role of every interval, the per-variable
-vertex ids and clause incidences, and the source formula, so solutions can be
-decoded to assignments and assignments encoded back to solutions.  Every
-bridge first checks that the metadata is of its kind and matches the
-instance, so mismatched files fail with ValueError.
+Each reduction is a plan, formula -> (components, roles, gadgets), and
+_layout.  A GadgetMetadata file stores only the reduction's kind and its
+source formula (num_vars and clauses).  The role of every interval and each
+variable's gadget of interval ids are derived from that formula by the same
+plan, once per metadata object, so solutions can be decoded to assignments
+and assignments encoded back to solutions.  Files of earlier versions, which
+also listed roles and gadgets, are refused and have to be regenerated with
+`balint reduce`.  Every bridge first checks that the metadata is of its kind
+and that the interval and color counts of its formula match the instance, so
+mismatched files fail with ValueError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 from .cnf import CnfFormula
@@ -96,69 +101,36 @@ class VariableGadget:
     neg_clauses: tuple[int, int]
 
 
-ROLE_TYPES = {"occurrence": OccurrenceRole, "var": HubRole, "clause": ClauseRole}
-ROLE_TAGS = {cls: tag for tag, cls in ROLE_TYPES.items()}
-
-# The JSON type read for each record field annotation; tuple means a tuple of
-# ints.  A field of any other type fails here, at import, with a KeyError.
-_JSON_TYPES = {"int": int, "bool": bool, "str": str, "tuple[int, int]": tuple}
-# (name, JSON type) of each record's constructor fields, as _to_json writes them
-# and _from_json reads them
-_JSON_FIELDS = {
-    cls: tuple((f.name, _JSON_TYPES[f.type]) for f in fields(cls) if f.init)
-    for cls in (*ROLE_TYPES.values(), VariableGadget)
-}
-
-
-def _to_json(obj) -> dict:
-    """A record's _JSON_FIELDS as a JSON object; tuples become lists."""
-    return {
-        name: list(getattr(obj, name)) if kind is tuple else getattr(obj, name)
-        for name, kind in _JSON_FIELDS[type(obj)]
-    }
-
-
-def _from_json(cls, data):
-    """Inverse of _to_json: read cls's constructor fields, lists become tuples.
-    Raises FormatError on a missing field or a value of the wrong JSON type."""
-    if not isinstance(data, dict):
-        raise FormatError(f"metadata: {cls.__name__} entry must be an object")
-    values = {}
-    for name, kind in _JSON_FIELDS[cls]:
-        value = data.get(name)
-        if kind is tuple and isinstance(value, list) and all(type(x) is int for x in value):
-            value = tuple(value)
-        if type(value) is not kind:
-            raise FormatError(f"metadata: {cls.__name__}.{name} must be {kind.__name__}")
-        values[name] = value
-    return cls(**values)
-
-
-def _entries(data: dict, key: str) -> dict[int, object]:
-    """The object under data[key] with its keys read as integers."""
-    entries = data.get(key, {})
-    if not isinstance(entries, dict):
-        raise FormatError(f"metadata: {key} must be an object")
-    try:
-        return {int(id): entry for id, entry in entries.items()}
-    except ValueError:
-        raise FormatError(f"metadata: {key} keys must be integers") from None
-
-
-def _role(entry):
-    tag = entry.get("type") if isinstance(entry, dict) else None
-    if not isinstance(tag, str) or tag not in ROLE_TYPES:
-        raise FormatError(f"metadata: role type must be one of {', '.join(ROLE_TYPES)}")
-    return _from_json(ROLE_TYPES[tag], entry)
-
-
 @dataclass(frozen=True)
 class GadgetMetadata:
+    """The kind and source formula of a reduction.  roles (interval id ->
+    role) and variable_gadgets (variable -> VariableGadget) are derived from
+    the formula by the reduction's plan on first use."""
+
     kind: str  # "indset" | "domset"
     num_vars: int
     clauses: tuple[tuple[int, ...], ...]
-    roles: dict[int, object] = field(default_factory=dict)
-    variable_gadgets: dict[int, VariableGadget] = field(default_factory=dict)
+
+    @cached_property
+    def _formula(self) -> CnfFormula:
+        return CnfFormula.build(self.num_vars, self.clauses)
+
+    @cached_property
+    def _derived(self) -> tuple[dict[int, object], dict[int, VariableGadget]]:
+        """(roles, variable_gadgets) from the reduction's plan; raises
+        ValueError when the formula is not one the reduction takes."""
+        _, roles, gadgets = (_indset_plan if self.kind == "indset" else _domset_plan)(
+            self._formula
+        )
+        return dict(enumerate(roles)), gadgets
+
+    @property
+    def roles(self) -> dict[int, object]:
+        return self._derived[0]
+
+    @property
+    def variable_gadgets(self) -> dict[int, VariableGadget]:
+        return self._derived[1]
 
     @cached_property
     def _occurrence_ids(self) -> dict[tuple[int, int], int]:
@@ -169,7 +141,7 @@ class GadgetMetadata:
         }
 
     def formula(self) -> CnfFormula:
-        return CnfFormula.build(self.num_vars, self.clauses)
+        return self._formula
 
     def occurrence_id(self, variable: int, clause: int) -> int:
         try:
@@ -182,18 +154,12 @@ class GadgetMetadata:
             "kind": self.kind,
             "num_vars": self.num_vars,
             "clauses": [list(c) for c in self.clauses],
-            "roles": {
-                str(id): {"type": ROLE_TAGS[type(role)], **_to_json(role)}
-                for id, role in self.roles.items()
-            },
-            "variable_gadgets": {
-                str(var): _to_json(g) for var, g in self.variable_gadgets.items()
-            },
         }
 
     @staticmethod
     def from_json_dict(data) -> "GadgetMetadata":
-        """Inverse of to_json_dict; raises FormatError on a malformed shape."""
+        """Inverse of to_json_dict; raises FormatError on a malformed shape or
+        a key outside the three it writes."""
         if not isinstance(data, dict):
             raise FormatError("metadata must be a JSON object")
         if data.get("kind") not in ("indset", "domset"):
@@ -205,44 +171,31 @@ class GadgetMetadata:
             isinstance(c, list) and all(type(lit) is int for lit in c) for c in clauses
         ):
             raise FormatError("metadata: clauses must be lists of integers")
-        return GadgetMetadata(
-            kind=data["kind"],
-            num_vars=num_vars,
-            clauses=tuple(tuple(c) for c in clauses),
-            roles={id: _role(entry) for id, entry in _entries(data, "roles").items()},
-            variable_gadgets={
-                var: _from_json(VariableGadget, g)
-                for var, g in _entries(data, "variable_gadgets").items()
-            },
-        )
+        unknown = [key for key in data if key not in ("kind", "num_vars", "clauses")]
+        if unknown:
+            raise FormatError(f"metadata: unknown key {unknown[0]!r}; re-run `balint reduce`")
+        return GadgetMetadata(data["kind"], num_vars, tuple(tuple(c) for c in clauses))
 
 
 def _check_metadata(inst: ColoredIntervalInstance, meta: GadgetMetadata, kind: str) -> None:
-    """Raise ValueError unless meta describes a `kind` reduction of inst: one
-    role of that reduction per interval id, each naming a variable in
-    x1..x<num_vars>, and (domset) one gadget of interval ids per variable."""
+    """Raise ValueError unless meta describes a `kind` reduction of inst: the
+    interval and color counts its clauses imply are the instance's, and its
+    formula is one the reduction takes."""
     if meta.kind != kind:
         article = "an independent" if kind == "indset" else "a dominating"
         raise ValueError(f"metadata does not describe {article}-set reduction")
-    roles = meta.roles.values()
-    types = {OccurrenceRole} if kind == "indset" else {HubRole, ClauseRole}
-    if (
-        meta.roles.keys() != set(range(inst.n))
-        or not {type(role) for role in roles} <= types
-        or not all(1 <= var <= meta.num_vars for var in {role.variable for role in roles})
-    ):
-        raise ValueError(f"metadata roles do not match the {inst.n} intervals of the instance")
-    gadgets = meta.variable_gadgets
-    if kind == "domset" and (
-        len(gadgets) != meta.num_vars
-        or gadgets.keys() != set(range(1, meta.num_vars + 1))
-        or not all(
-            0 <= id < inst.n
-            for g in gadgets.values()
-            for id in (g.t1, g.t2, g.f1, g.f2, g.h_t, g.h_f, g.c_t1, g.c_t2, g.c_f1, g.c_f2)
-        )
-    ):
-        raise ValueError("metadata variable gadgets do not match the instance")
+    occurrences = sum(map(len, meta.clauses))
+    if kind == "indset":
+        counts = (occurrences, len(meta.clauses))
+    else:
+        counts = (6 * meta.num_vars + occurrences, 5 * meta.num_vars)
+    mismatch = ValueError(f"metadata roles do not match the {inst.n} intervals of the instance")
+    if (inst.n, inst.k) != counts:
+        raise mismatch
+    try:
+        meta.roles  # builds the formula and runs the plan, which checks its flavor
+    except ValueError:
+        raise mismatch from None
 
 
 def _layout(k: int, components) -> ColoredIntervalInstance:
@@ -257,20 +210,15 @@ def _layout(k: int, components) -> ColoredIntervalInstance:
     return ColoredIntervalInstance.from_columns(k, lefts, rights, colors, proper_flag=True)
 
 
-def reduce_indset(phi: CnfFormula) -> tuple[ColoredIntervalInstance, GadgetMetadata]:
-    """Build the independent-set instance and its metadata from a 3-bounded formula.
-
-    Vertex count equals the total number of literal occurrences; color count
-    equals the clause count.  The implied intersection graph consists of one
-    complete bipartite gadget (positive vs negative occurrences) per variable.
-    """
+def _indset_plan(phi: CnfFormula) -> tuple[list, list, dict]:
+    """Components and roles, in id order, of the independent-set reduction of
+    a 3-bounded formula; it has no variable gadgets."""
     # a formula without clauses is 3-bounded, though build flavors it tptn
     # when it also has no variables
     if phi.clauses and phi.flavor != "three_bounded":
         raise ValueError("formula is not 3-bounded (clauses of 2-3 literals, "
                          "each variable in at most 3 clauses)")
-    components = []
-    roles = []
+    components, roles = [], []
     for var, (pos, neg) in enumerate(phi.occurrence_lists[1:], start=1):
         if pos and neg:
             if len(pos) + len(neg) == 2:
@@ -287,24 +235,12 @@ def reduce_indset(phi: CnfFormula) -> tuple[ColoredIntervalInstance, GadgetMetad
             for j in pos or neg:
                 components.append((SINGLETON_COORDS, (j,)))
                 roles.append(OccurrenceRole(var, j, positive))
-    inst = _layout(len(phi.clauses), components)
-    assert inst.n == sum(len(c) for c in phi.clauses)
-    meta = GadgetMetadata(
-        kind="indset", num_vars=phi.num_vars, clauses=phi.clauses, roles=dict(enumerate(roles))
-    )
-    return inst, meta
+    return components, roles, {}
 
 
-def reduce_domset(phi: CnfFormula) -> tuple[ColoredIntervalInstance, GadgetMetadata]:
-    """Build the dominating-set instance and its metadata from a 2P2N formula.
-
-    Per variable: colors (z_t1, z_t2, z_f1, z_f2, z_h), a leaf-hub-leaf path
-    t1 - h_t - t2 and another f1 - h_f - f2, with gamma(h_t) = gamma(h_f) = z_h.
-    Per clause: a clique of one vertex per literal, each sharing the color of
-    the matching variable leaf (z_t for positive occurrences, z_f for negative).
-    For 3-literal clauses throughout, the instance has 6n + 3m vertices and
-    4n + 3m edges; shorter clauses contribute proportionally fewer.
-    """
+def _domset_plan(phi: CnfFormula) -> tuple[list, list, dict[int, VariableGadget]]:
+    """Components, roles and variable gadgets, in id order, of the
+    dominating-set reduction of a 2P2N formula."""
     if phi.flavor != "tptn":
         raise ValueError("formula is not 2P2N (every variable exactly twice "
                          "positive and twice negative, clauses of 1-3 literals)")
@@ -337,19 +273,37 @@ def reduce_domset(phi: CnfFormula) -> tuple[ColoredIntervalInstance, GadgetMetad
             t1=t1, t2=t2, f1=f1, f2=f2, h_t=h_t, h_f=h_f,
             c_t1=c_t1, c_t2=c_t2, c_f1=c_f1, c_f2=c_f2, pos_clauses=pos, neg_clauses=neg,
         )
-    inst = _layout(5 * phi.num_vars, components)
+    return components, roles, gadgets
+
+
+def reduce_indset(phi: CnfFormula) -> tuple[ColoredIntervalInstance, GadgetMetadata]:
+    """Build the independent-set instance and its metadata from a 3-bounded formula.
+
+    Vertex count equals the total number of literal occurrences; color count
+    equals the clause count.  The implied intersection graph consists of one
+    complete bipartite gadget (positive vs negative occurrences) per variable.
+    """
+    inst = _layout(len(phi.clauses), _indset_plan(phi)[0])
+    assert inst.n == sum(len(c) for c in phi.clauses)
+    return inst, GadgetMetadata("indset", phi.num_vars, phi.clauses)
+
+
+def reduce_domset(phi: CnfFormula) -> tuple[ColoredIntervalInstance, GadgetMetadata]:
+    """Build the dominating-set instance and its metadata from a 2P2N formula.
+
+    Per variable: colors (z_t1, z_t2, z_f1, z_f2, z_h), a leaf-hub-leaf path
+    t1 - h_t - t2 and another f1 - h_f - f2, with gamma(h_t) = gamma(h_f) = z_h.
+    Per clause: a clique of one vertex per literal, each sharing the color of
+    the matching variable leaf (z_t for positive occurrences, z_f for negative).
+    For 3-literal clauses throughout, the instance has 6n + 3m vertices and
+    4n + 3m edges; shorter clauses contribute proportionally fewer.
+    """
+    inst = _layout(5 * phi.num_vars, _domset_plan(phi)[0])
     assert inst.n == 6 * phi.num_vars + sum(len(c) for c in phi.clauses)
     assert edge_count(inst, build_sorted_view(inst)) == 4 * phi.num_vars + sum(
         len(c) * (len(c) - 1) // 2 for c in phi.clauses
     )
-    meta = GadgetMetadata(
-        kind="domset",
-        num_vars=phi.num_vars,
-        clauses=phi.clauses,
-        roles=dict(enumerate(roles)),
-        variable_gadgets=gadgets,
-    )
-    return inst, meta
+    return inst, GadgetMetadata("domset", phi.num_vars, phi.clauses)
 
 
 def decode_indset(
@@ -380,10 +334,7 @@ def encode_indset_solution(
         chosen = None
         for lit in clause:
             if assignment.get(abs(lit), False) == (lit > 0):
-                try:
-                    chosen = meta.occurrence_id(abs(lit), j)
-                except KeyError as exc:
-                    raise ValueError(f"metadata has {exc.args[0]}") from None
+                chosen = meta.occurrence_id(abs(lit), j)
                 break
         if chosen is None:
             raise ValueError(f"assignment does not satisfy clause {j}")

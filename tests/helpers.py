@@ -8,6 +8,37 @@ from hypothesis import strategies as st
 
 from balint import ColoredIntervalInstance, FormatError, Interval
 
+# A metadata file as versions before the three-key format wrote it (one line):
+# every role and variable gadget listed next to the formula.
+EARLIER_DOMSET_METADATA = (
+    '{"kind": "domset", "num_vars": 2, "clauses": [[1, 2], [1, -2], [-1, 2], [-1, -2]], "roles": {'
+    '"0": {"type": "var", "variable": 1, "name": "t1"}, '
+    '"1": {"type": "var", "variable": 1, "name": "h_t"}, '
+    '"2": {"type": "var", "variable": 1, "name": "t2"}, '
+    '"3": {"type": "var", "variable": 1, "name": "f1"}, '
+    '"4": {"type": "var", "variable": 1, "name": "h_f"}, '
+    '"5": {"type": "var", "variable": 1, "name": "f2"}, '
+    '"6": {"type": "var", "variable": 2, "name": "t1"}, '
+    '"7": {"type": "var", "variable": 2, "name": "h_t"}, '
+    '"8": {"type": "var", "variable": 2, "name": "t2"}, '
+    '"9": {"type": "var", "variable": 2, "name": "f1"}, '
+    '"10": {"type": "var", "variable": 2, "name": "h_f"}, '
+    '"11": {"type": "var", "variable": 2, "name": "f2"}, '
+    '"12": {"type": "clause", "clause": 1, "variable": 1, "positive": true, "slot": 1}, '
+    '"13": {"type": "clause", "clause": 1, "variable": 2, "positive": true, "slot": 1}, '
+    '"14": {"type": "clause", "clause": 2, "variable": 1, "positive": true, "slot": 2}, '
+    '"15": {"type": "clause", "clause": 2, "variable": 2, "positive": false, "slot": 1}, '
+    '"16": {"type": "clause", "clause": 3, "variable": 1, "positive": false, "slot": 1}, '
+    '"17": {"type": "clause", "clause": 3, "variable": 2, "positive": true, "slot": 2}, '
+    '"18": {"type": "clause", "clause": 4, "variable": 1, "positive": false, "slot": 2}, '
+    '"19": {"type": "clause", "clause": 4, "variable": 2, "positive": false, "slot": 2}}, '
+    '"variable_gadgets": {'
+    '"1": {"t1": 0, "t2": 2, "f1": 3, "f2": 5, "h_t": 1, "h_f": 4, "c_t1": 12, "c_t2": 14, '
+    '"c_f1": 16, "c_f2": 18, "pos_clauses": [1, 2], "neg_clauses": [3, 4]}, '
+    '"2": {"t1": 6, "t2": 8, "f1": 9, "f2": 11, "h_t": 7, "h_f": 10, "c_t1": 13, "c_t2": 17, '
+    '"c_f1": 15, "c_f2": 19, "pos_clauses": [1, 3], "neg_clauses": [2, 4]}}}'
+)
+
 
 def build_instance(
     k: int, triples: list[tuple[int, int, int]], proper: bool = False

@@ -11,6 +11,7 @@ import pytest
 
 from balint import parse_assignment, parse_instance, parse_solution
 from balint.cli import run_cli
+from helpers import EARLIER_DOMSET_METADATA
 
 INSTANCE = "n=3 k=2\n0 0 2 1\n1 1 3 2\n2 4 5 2\n"
 DIMACS = "p cnf 2 2\n1 2 0\n-1 2 0\n"
@@ -362,6 +363,22 @@ def test_mismatched_metadata_exits_one(inst_file, capsys, tmp_path):
     )
     assert code == 1
     assert err.startswith("error: metadata: num_vars")
+
+
+def test_metadata_in_an_earlier_format_exits_one(tmp_path, capsys):
+    cnf = tmp_path / "phi.cnf"
+    cnf.write_text("p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n")
+    red, meta, asg = tmp_path / "red.txt", tmp_path / "meta.json", tmp_path / "asg.txt"
+    asg.write_text("x1=1\nx2=1\n")
+    argv = ["encode", "--instance", str(red), "--meta", str(meta), "--assignment", str(asg)]
+    assert run(["reduce", "domset", "--cnf", str(cnf), "--out", str(red), "--meta", str(meta)],
+               capsys)[0] == 0
+    # the formula is unsatisfiable, so the current file gets as far as the clauses
+    assert run(argv, capsys)[::2] == (1, "error: assignment does not satisfy clause 4\n")
+    meta.write_text(EARLIER_DOMSET_METADATA)
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: metadata: unknown key")
 
 
 def test_huge_swap_radius_is_refused_quickly(inst_file, capsys):

@@ -31,6 +31,7 @@ from balint import (
 )
 from balint.cnf import evaluate
 from balint.reductions import ClauseRole, HubRole, OccurrenceRole
+from helpers import EARLIER_DOMSET_METADATA
 
 EDGE_FORMULA = CnfFormula.build(2, [(1, 2), (-1, 2)])
 PATH_FORMULA = CnfFormula.build(2, [(1, 2), (1, -2), (-1, 2)])
@@ -281,14 +282,19 @@ def test_bridges_reject_metadata_that_does_not_match_the_instance():
     bare = GadgetMetadata(kind="domset", num_vars=1, clauses=())
     with pytest.raises(ValueError, match="roles"):
         canonicalize_bds(inst_i, bare, solve_fbis_dp(inst_i, 1))
+    _, other_d = reduce_domset(FORCED_TPTN)
     with pytest.raises(ValueError, match="roles"):
-        decode_domset(inst_d, replace(meta_d, roles=dict(list(meta_d.roles.items())[1:])), sol_d)
-    with pytest.raises(ValueError, match="gadgets"):
-        encode_domset_solution(inst_d, replace(meta_d, variable_gadgets={}), {1: True})
-    with pytest.raises(ValueError, match="no occurrence of x1 in clause 3"):
+        decode_domset(inst_d, other_d, sol_d)
+    with pytest.raises(ValueError, match="roles"):
+        encode_domset_solution(inst_d, other_d, {1: True})
+    with pytest.raises(ValueError, match="roles"):
         encode_indset_solution(
             inst_i, replace(meta_i, clauses=meta_i.clauses + ((1, 2),)), {1: True, 2: True}
         )
+    # same counts as the instance, but a formula the reduction does not take
+    not_tptn = GadgetMetadata(kind="domset", num_vars=2, clauses=((1, 2), (1, 2), (1, 2), (1, 2)))
+    with pytest.raises(ValueError, match="roles"):
+        decode_domset(inst_d, not_tptn, sol_d)
 
 
 @pytest.mark.parametrize(
@@ -306,11 +312,17 @@ def test_bridges_reject_metadata_that_does_not_match_the_instance():
         {"kind": "indset", "num_vars": 1, "clauses": [],
          "roles": {"0": {"type": "occurrence", "variable": 1, "clause": 1, "positive": 1}}},
         {"kind": "domset", "num_vars": 1, "clauses": [], "variable_gadgets": {"1": {"t1": 0}}},
+        json.loads(EARLIER_DOMSET_METADATA),
     ],
 )
 def test_metadata_json_rejects_malformed_shape(data):
     with pytest.raises(FormatError):
         GadgetMetadata.from_json_dict(data)
+
+
+def test_metadata_in_an_earlier_format_is_refused():
+    with pytest.raises(FormatError, match="unknown key 'roles'; re-run `balint reduce`"):
+        GadgetMetadata.from_json_dict(json.loads(EARLIER_DOMSET_METADATA))
 
 
 def _dealt_tptn(num_vars: int, rng: Random) -> CnfFormula:
@@ -359,7 +371,7 @@ def test_pinned_family_covers_every_gadget():
 
 # sha256 of every reduced instance and its metadata JSON over PINNED_FAMILY:
 # the reductions' layout, ids, colors and metadata format, byte for byte.
-PINNED_FAMILY_DIGEST = "4b8c6e897c663c16f9e924d0a21198ce5786a3263614028ea0f13a4d19ad13d3"
+PINNED_FAMILY_DIGEST = "7a1aba1e47393897246140ec9006fac48e64d49aa7673c758450b52a2e5d8881"
 
 
 def test_reductions_are_pinned_over_a_seeded_family():
@@ -407,44 +419,10 @@ def test_metadata_occurrence_lookup():
 
 
 # The metadata file format: `balint reduce --meta` writes this JSON (indented)
-# and `balint decode` / `encode` read it back.
-PINNED_INDSET_JSON = (
-    '{"kind": "indset", "num_vars": 2, "clauses": [[1, 2], [-1, -2], [1, -2]], "roles": {'
-    '"0": {"type": "occurrence", "variable": 1, "clause": 1, "positive": true}, '
-    '"1": {"type": "occurrence", "variable": 1, "clause": 2, "positive": false}, '
-    '"2": {"type": "occurrence", "variable": 1, "clause": 3, "positive": true}, '
-    '"3": {"type": "occurrence", "variable": 2, "clause": 2, "positive": false}, '
-    '"4": {"type": "occurrence", "variable": 2, "clause": 1, "positive": true}, '
-    '"5": {"type": "occurrence", "variable": 2, "clause": 3, "positive": false}}, '
-    '"variable_gadgets": {}}'
-)
+# and `balint decode` / `encode` / `canonicalize` read it back.
+PINNED_INDSET_JSON = '{"kind": "indset", "num_vars": 2, "clauses": [[1, 2], [-1, -2], [1, -2]]}'
 PINNED_DOMSET_JSON = (
-    '{"kind": "domset", "num_vars": 2, "clauses": [[1, 2], [1, -2], [-1, 2], [-1, -2]], "roles": {'
-    '"0": {"type": "var", "variable": 1, "name": "t1"}, '
-    '"1": {"type": "var", "variable": 1, "name": "h_t"}, '
-    '"2": {"type": "var", "variable": 1, "name": "t2"}, '
-    '"3": {"type": "var", "variable": 1, "name": "f1"}, '
-    '"4": {"type": "var", "variable": 1, "name": "h_f"}, '
-    '"5": {"type": "var", "variable": 1, "name": "f2"}, '
-    '"6": {"type": "var", "variable": 2, "name": "t1"}, '
-    '"7": {"type": "var", "variable": 2, "name": "h_t"}, '
-    '"8": {"type": "var", "variable": 2, "name": "t2"}, '
-    '"9": {"type": "var", "variable": 2, "name": "f1"}, '
-    '"10": {"type": "var", "variable": 2, "name": "h_f"}, '
-    '"11": {"type": "var", "variable": 2, "name": "f2"}, '
-    '"12": {"type": "clause", "clause": 1, "variable": 1, "positive": true, "slot": 1}, '
-    '"13": {"type": "clause", "clause": 1, "variable": 2, "positive": true, "slot": 1}, '
-    '"14": {"type": "clause", "clause": 2, "variable": 1, "positive": true, "slot": 2}, '
-    '"15": {"type": "clause", "clause": 2, "variable": 2, "positive": false, "slot": 1}, '
-    '"16": {"type": "clause", "clause": 3, "variable": 1, "positive": false, "slot": 1}, '
-    '"17": {"type": "clause", "clause": 3, "variable": 2, "positive": true, "slot": 2}, '
-    '"18": {"type": "clause", "clause": 4, "variable": 1, "positive": false, "slot": 2}, '
-    '"19": {"type": "clause", "clause": 4, "variable": 2, "positive": false, "slot": 2}}, '
-    '"variable_gadgets": {'
-    '"1": {"t1": 0, "t2": 2, "f1": 3, "f2": 5, "h_t": 1, "h_f": 4, "c_t1": 12, "c_t2": 14, '
-    '"c_f1": 16, "c_f2": 18, "pos_clauses": [1, 2], "neg_clauses": [3, 4]}, '
-    '"2": {"t1": 6, "t2": 8, "f1": 9, "f2": 11, "h_t": 7, "h_f": 10, "c_t1": 13, "c_t2": 17, '
-    '"c_f1": 15, "c_f2": 19, "pos_clauses": [1, 3], "neg_clauses": [2, 4]}}}'
+    '{"kind": "domset", "num_vars": 2, "clauses": [[1, 2], [1, -2], [-1, 2], [-1, -2]]}'
 )
 
 
