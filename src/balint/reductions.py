@@ -119,9 +119,8 @@ class GadgetMetadata:
     def _derived(self) -> tuple[dict[int, object], dict[int, VariableGadget]]:
         """(roles, variable_gadgets) from the reduction's plan; raises
         ValueError when the formula is not one the reduction takes."""
-        _, roles, gadgets = (_indset_plan if self.kind == "indset" else _domset_plan)(
-            self._formula
-        )
+        plan = _indset_plan if self.kind == "indset" else _domset_plan
+        _, roles, gadgets = plan(self._formula)
         return dict(enumerate(roles)), gadgets
 
     @property

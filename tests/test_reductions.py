@@ -320,11 +320,6 @@ def test_metadata_json_rejects_malformed_shape(data):
         GadgetMetadata.from_json_dict(data)
 
 
-def test_metadata_in_an_earlier_format_is_refused():
-    with pytest.raises(FormatError, match="unknown key 'roles'; re-run `balint reduce`"):
-        GadgetMetadata.from_json_dict(json.loads(EARLIER_DOMSET_METADATA))
-
-
 def _dealt_tptn(num_vars: int, rng: Random) -> CnfFormula:
     """A 2P2N formula with clauses of 1-3 literals: deal each variable's four
     signed occurrences into clauses of random sizes until every clause
