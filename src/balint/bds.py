@@ -19,8 +19,6 @@ from .model import (
     ColoredIntervalInstance,
     GuardError,
     SolutionSet,
-    build_sorted_view,
-    neighborhood_masks,
     verified_solution,
 )
 
@@ -38,10 +36,7 @@ class DominationIndex:
 
     @staticmethod
     def from_instance(inst: ColoredIntervalInstance) -> "DominationIndex":
-        masks = neighborhood_masks(inst, build_sorted_view(inst))
-        return DominationIndex(
-            closed_masks=tuple(masks), full_mask=(1 << inst.n) - 1
-        )
+        return DominationIndex(closed_masks=inst.masks, full_mask=(1 << inst.n) - 1)
 
 
 def solve_fbds_brute(
@@ -70,12 +65,12 @@ def solve_fbds_brute(
     stats.update(combinations_bound=bound, combinations_tried=0, feasible=False)
     if total == 0:
         return None
-    index = DominationIndex.from_instance(inst)
+    masks, full = inst.masks, (1 << inst.n) - 1
     suffix_reach = [0] * (len(classes) + 1)
     for t in range(len(classes) - 1, -1, -1):
         reach = suffix_reach[t + 1]
         for id in classes[t]:
-            reach |= index.closed_masks[id]
+            reach |= masks[id]
         suffix_reach[t] = reach
     tried = 0
     picks: list[tuple[int, ...]] = []
@@ -84,12 +79,13 @@ def solve_fbds_brute(
     while frames:
         t = len(frames) - 1
         combos, covered = frames[t]
+        reach = suffix_reach[t + 1]
         for combo in combos:
             tried += 1
             mask = covered
             for id in combo:
-                mask |= index.closed_masks[id]
-            if mask | suffix_reach[t + 1] == index.full_mask:
+                mask |= masks[id]
+            if mask | reach == full:
                 break
         else:
             frames.pop()

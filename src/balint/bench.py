@@ -5,10 +5,11 @@ wall_time_s, peak_state.  result is the feasibility verdict or the color
 count.  Quality rows always fill optimum, the exact 1-MCIS color count from
 the f = 1 vector DP (fbis_dp.max_colors), and ratio = result / optimum.  Wall
 times are medians of `reps` runs of the solve call alone (parsing, generation
-and the optimum excluded).  Rows are appended and flushed as they complete.
-`out` is a text stream, or a function that opens one; a suite calls it only
-after its GenSpecs (and, for quality, the local-search guard) have passed
-their checks, so a refused run opens nothing.
+and the optimum excluded), each on a fresh copy of the instance, so that every
+run builds the instance's sorted view and masks anew.  Rows are appended and
+flushed as they complete.  `out` is a text stream, or a function that opens
+one; a suite calls it only after its GenSpecs (and, for quality, the
+local-search guard) have passed their checks, so a refused run opens nothing.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .mcis import (
     greedy_mcis,
     local_search_mcis,
 )
+from .model import ColoredIntervalInstance
 
 BENCH_FIELDS = (
     "instance",
@@ -90,13 +92,17 @@ class _RowSink:
             self.out.flush()
 
 
-def _timed(fn, reps: int):
-    """Median wall time of reps calls; returns (result of last call, seconds)."""
+def _timed(solve, inst: ColoredIntervalInstance, reps: int):
+    """Median wall time of reps calls of solve, each on a copy of inst made
+    outside the timer; returns (result of last call, seconds)."""
     times = []
     result = None
     for _ in range(reps):
+        copy = ColoredIntervalInstance.from_columns(
+            inst.k, inst.lefts, inst.rights, inst.colors, inst.proper_flag
+        )
         start = perf_counter()
-        result = fn()
+        result = solve(copy)
         times.append(perf_counter() - start)
     return result, median(times)
 
@@ -106,9 +112,9 @@ def _quality_task(spec: GenSpec, b: int, reps: int) -> list[BenchRow]:
     name = f"uniform-n{spec.n}-k{spec.k}-s{spec.seed}"
     optimum = max_colors(inst)
     rows = []
-    greedy, greedy_time = _timed(lambda: greedy_mcis(inst), reps)
+    greedy, greedy_time = _timed(greedy_mcis, inst, reps)
     local, local_time = _timed(
-        lambda: local_search_mcis(inst, LocalSearchConfig(b=b)), reps
+        lambda copy: local_search_mcis(copy, LocalSearchConfig(b=b)), inst, reps
     )
     for method, sol, seconds, param in (
         ("greedy", greedy, greedy_time, "-"),
@@ -179,7 +185,7 @@ def run_dp_scaling_suite(
     for spec in specs:
         inst = generate(spec)
         stats: dict = {}
-        sol, seconds = _timed(lambda: solve_fbis_dp(inst, f, stats), reps)
+        sol, seconds = _timed(lambda copy: solve_fbis_dp(copy, f, stats), inst, reps)
         sink.add(
             BenchRow(
                 instance=f"uniform-n{spec.n}-k{k}-s{spec.seed}",

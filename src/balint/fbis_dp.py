@@ -20,7 +20,6 @@ from .model import (
     GuardError,
     SolutionSet,
     SortedView,
-    build_sorted_view,
     greedy_independent,
     verified_solution,
 )
@@ -100,13 +99,12 @@ def solve_fbis_dp(
         return None
     k = inst.k
     target = (f + 1) ** k - 1
-    view = build_sorted_view(inst)
-    levels = _run_dp(view, k, f)
+    levels = _run_dp(inst.view, k, f)
     feasible = bool(levels[-1] >> target & 1)
     stats.update(peak_states=levels[-1].bit_count(), feasible=feasible)
     if not feasible:
         return None
-    return verified_solution(inst, "BIS", _reconstruct(view, levels, k, f, target), f)
+    return verified_solution(inst, "BIS", _reconstruct(inst.view, levels, k, f, target), f)
 
 
 def max_colors(inst: ColoredIntervalInstance) -> int:
@@ -118,7 +116,7 @@ def max_colors(inst: ColoredIntervalInstance) -> int:
     VECTOR_GUARD."""
     _check_params(inst, 1)
     k = inst.k
-    final = _run_dp(build_sorted_view(inst), k, 1)[-1]
+    final = _run_dp(inst.view, k, 1)[-1]
     at_least = [(1 << (1 << m)) - 1 for m in range(k + 1)]  # j = 0, for m = 0..k
     best = 0
     while best < k:
@@ -153,13 +151,12 @@ def max_f_with_witness(
     if inst.k == 0:
         return 0, None
     k = inst.k
-    view = build_sorted_view(inst)
-    cap = min(min(map(len, inst.color_class_ids())), len(greedy_independent(view)) // k)
+    cap = min(min(map(len, inst.color_class_ids())), len(greedy_independent(inst.view)) // k)
     if cap == 0:
         stats.update(peak_states=0, max_f=0)
         return 0, None
     _check_params(inst, cap)
-    levels = _run_dp(view, k, cap)
+    levels = _run_dp(inst.view, k, cap)
     final = levels[-1]
     best, hits = 0, final
     while best < cap:
@@ -172,7 +169,7 @@ def max_f_with_witness(
     stats.update(peak_states=final.bit_count(), max_f=best)
     if best == 0:
         return 0, None
-    ids = sorted(_reconstruct(view, levels, k, cap, (hits & -hits).bit_length() - 1))
+    ids = sorted(_reconstruct(inst.view, levels, k, cap, (hits & -hits).bit_length() - 1))
     classes = [[i for i in ids if inst.colors[i] == c] for c in range(1, k + 1)]
     trimmed = [id for members in classes for id in members[:best]]
     return best, verified_solution(inst, "BIS", trimmed, best)

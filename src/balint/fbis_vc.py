@@ -21,10 +21,7 @@ from .model import (
     ColoredIntervalInstance,
     GuardError,
     SolutionSet,
-    SortedView,
-    build_sorted_view,
     greedy_independent,
-    neighborhood_masks,
     verified_solution,
 )
 
@@ -43,11 +40,7 @@ class VertexCoverDecomposition:
 
 def minimum_vertex_cover(inst: ColoredIntervalInstance) -> VertexCoverDecomposition:
     """Greedy maximum independent set by right endpoint; cover = complement."""
-    return _decompose(inst, build_sorted_view(inst))
-
-
-def _decompose(inst: ColoredIntervalInstance, view: SortedView) -> VertexCoverDecomposition:
-    independent = frozenset(greedy_independent(view))
+    independent = frozenset(greedy_independent(inst.view))
     return VertexCoverDecomposition(
         independent=independent, cover=frozenset(range(inst.n)) - independent
     )
@@ -68,13 +61,12 @@ def enumerate_swap_candidates(
     prunes exactly the non-independent S.  The empty S (candidate V_ind) comes
     first.  Every maximal independent set of the instance is yielded.
     """
-    for candidate in _walk(inst, build_sorted_view(inst), decomp, 0, [0, 0]):
+    for candidate in _walk(inst, decomp, 0, [0, 0]):
         yield frozenset(_bits(candidate))
 
 
 def _walk(
     inst: ColoredIntervalInstance,
-    view: SortedView,
     decomp: VertexCoverDecomposition,
     f: int,
     counts: list[int],
@@ -89,7 +81,7 @@ def _walk(
     feasibility test, and at f = 0 nothing is cut.  counts is kept at [nodes
     visited, leaves reached], cut ones included.
     """
-    cover = [(pos, id) for pos, id in enumerate(view.order, start=1) if id in decomp.cover]
+    cover = [(pos, id) for pos, id in enumerate(inst.view.order, start=1) if id in decomp.cover]
     tau = len(cover)
     color_masks = [sum(1 << id for id in ids) for ids in inst.color_class_ids()]
     remaining = [[0] * inst.k]
@@ -98,8 +90,7 @@ def _walk(
         row[inst.colors[id] - 1] += 1
         remaining.append(row)
     remaining.reverse()
-    masks = neighborhood_masks(inst, view)
-    prev = view.prev
+    masks, prev = inst.masks, inst.view.prev
     nodes = leaves = 0
     stack = [(0, sum(1 << id for id in decomp.independent), 0)]
     while stack:
@@ -137,8 +128,7 @@ def solve_fbis_vc(
     stats = {} if stats is None else stats
     if f < 1:
         raise ValueError("f must be >= 1")
-    view = build_sorted_view(inst)
-    decomp = _decompose(inst, view)
+    decomp = minimum_vertex_cover(inst)
     stats.update(tau=decomp.tau, candidates_examined=0)
     if inst.is_color_deficient():
         stats.update(feasible=False, nodes=0, reason="color-deficient")
@@ -149,7 +139,7 @@ def solve_fbis_vc(
             "(the vector DP handles this instance)"
         )
     counts = [0, 0]
-    candidate = next(_walk(inst, view, decomp, f, counts), None)
+    candidate = next(_walk(inst, decomp, f, counts), None)
     nodes, examined = counts
     if candidate is None:
         stats.update(feasible=False, candidates_examined=examined, nodes=nodes)

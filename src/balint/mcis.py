@@ -18,9 +18,7 @@ from .model import (
     GuardError,
     SolutionSet,
     SortedView,
-    build_sorted_view,
     intersects,
-    neighborhood_masks,
     verified_solution,
 )
 
@@ -38,7 +36,7 @@ class LocalSearchConfig:
 
 def greedy_mcis(inst: ColoredIntervalInstance, stats: dict | None = None) -> SolutionSet:
     stats = {} if stats is None else stats
-    sol = verified_solution(inst, "MCIS", _greedy_ids(build_sorted_view(inst)), 1)
+    sol = verified_solution(inst, "MCIS", _greedy_ids(inst.view), 1)
     stats["colors"] = sol.distinct_colors
     return sol
 
@@ -73,7 +71,6 @@ def _guard_budget(n: int, b: int, budget: int) -> None:
 
 def _improving_neighbor(
     inst: ColoredIntervalInstance,
-    masks: list[int],
     current: frozenset[int],
     b: int,
     counter: list[int],
@@ -84,10 +81,10 @@ def _improving_neighbor(
     |removals|+1 outside intervals are grown in id order, rejecting any that
     intersects a retained interval or repeats a retained color before
     recursing.  An improving neighbor exists iff one of this shape does.
-    masks are closed neighborhoods; an outside interval's own bit is never in
-    the chosen mask, so masks[id] & mask tests intersection only.
+    An outside interval's own bit is never in the chosen mask, so its closed
+    neighborhood masks[id] & mask tests intersection only.
     """
-    colors = inst.colors
+    colors, masks = inst.colors, inst.masks
     members = sorted(current)
     outside = [id for id in range(inst.n) if id not in current]
     for removals in range(min(b, len(members)) + 1):
@@ -135,13 +132,11 @@ def local_search_mcis(
     """
     stats = {} if stats is None else stats
     _guard_budget(inst.n, cfg.b, cfg.neighbor_budget)
-    view = build_sorted_view(inst)
-    masks = neighborhood_masks(inst, view)
-    current = frozenset(_greedy_ids(view))
+    current = frozenset(_greedy_ids(inst.view))
     rounds = 0
     counter = [0]
     while len(current) < inst.k:
-        nxt = _improving_neighbor(inst, masks, current, cfg.b, counter)
+        nxt = _improving_neighbor(inst, current, cfg.b, counter)
         if nxt is None:
             break
         current = nxt

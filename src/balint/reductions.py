@@ -40,7 +40,6 @@ from .model import (
     ColoredIntervalInstance,
     FormatError,
     SolutionSet,
-    build_sorted_view,
     edge_count,
     verified_solution,
     verify_solution,
@@ -299,7 +298,7 @@ def reduce_domset(phi: CnfFormula) -> tuple[ColoredIntervalInstance, GadgetMetad
     """
     inst = _layout(5 * phi.num_vars, _domset_plan(phi)[0])
     assert inst.n == 6 * phi.num_vars + sum(len(c) for c in phi.clauses)
-    assert edge_count(inst, build_sorted_view(inst)) == 4 * phi.num_vars + sum(
+    assert edge_count(inst, inst.view) == 4 * phi.num_vars + sum(
         len(c) * (len(c) - 1) // 2 for c in phi.clauses
     )
     return inst, GadgetMetadata("domset", phi.num_vars, phi.clauses)
