@@ -1,17 +1,26 @@
 """Seeded instance and formula generators.
 
 All randomness comes from random.Random(seed) (Mersenne Twister), so a
-(GenSpec, seed) pair pins the output exactly.  Models:
+GenSpec pins the output exactly.  The interval models draw each endpoint and
+color with Random.getrandbits and randint's rejection rule (draw the range's
+bit length, redraw while out of range), so they consume the same words as
+randint did and give the same instances as earlier versions, without
+depending on how randint is implemented.  Models:
 
-- uniform-random: endpoints drawn uniformly from [0, 4n], colors uniform in 1..k.
+- uniform-random: endpoints drawn uniformly from [0, 4n], colors uniform in
+  1..k.  With f_target, the first k * f_target intervals take round-robin
+  colors so every class is at least f_target large (when n allows).
 - proper-unit: unit-length intervals, left endpoints uniform in [0, 4n].
 - greedy-adversarial: blocks of three intervals arranged so the greedy color
   picker keeps one color per block while the optimum keeps two.
 - sat-derived: a random 3-bounded formula pushed through reduce_indset.
-"""
+
+f_target must be >= 0 and is taken only by uniform-random; GenSpec refuses it
+elsewhere."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from random import Random
 
@@ -35,6 +44,11 @@ class GenSpec:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.n < 0 or self.k < 1:
             raise ValueError("need n >= 0 and k >= 1")
+        if self.f_target is not None:
+            if self.model != "uniform-random":
+                raise ValueError(f"f_target applies only to uniform-random, not {self.model}")
+            if self.f_target < 0:
+                raise ValueError("need f_target >= 0")
 
 
 def generate(spec: GenSpec) -> ColoredIntervalInstance:
@@ -51,28 +65,49 @@ def generate(spec: GenSpec) -> ColoredIntervalInstance:
 def _uniform_random(
     n: int, k: int, rng: Random, f_target: int | None = None
 ) -> ColoredIntervalInstance:
-    # with f_target, the first k*f_target intervals take round-robin colors so
-    # every class is at least f_target large (when n allows); rest stay uniform
+    # each draw is randint(0, span) or randint(1, k) spelled out: getrandbits
+    # of the range's bit length, redrawn while out of range
     span = 4 * n
+    bits, color_bits = (span + 1).bit_length(), k.bit_length()
+    getrandbits = rng.getrandbits
+    round_robin = 0 if f_target is None else k * f_target
     lefts, rights, colors = [], [], []
     for id in range(n):
-        a = rng.randint(0, span)
-        b = rng.randint(0, span)
-        lefts.append(min(a, b))
-        rights.append(max(a, b))
-        if f_target is not None and id < k * f_target:
+        a = getrandbits(bits)
+        while a > span:
+            a = getrandbits(bits)
+        b = getrandbits(bits)
+        while b > span:
+            b = getrandbits(bits)
+        if a > b:
+            a, b = b, a
+        lefts.append(a)
+        rights.append(b)
+        if id < round_robin:
             colors.append(id % k + 1)
         else:
-            colors.append(rng.randint(1, k))
+            c = getrandbits(color_bits)
+            while c >= k:
+                c = getrandbits(color_bits)
+            colors.append(c + 1)
     return ColoredIntervalInstance.from_columns(k, lefts, rights, colors)
 
 
 def _proper_unit(n: int, k: int, rng: Random) -> ColoredIntervalInstance:
+    # the draws of _uniform_random: one left endpoint and one color each
     span = 4 * n
+    bits, color_bits = (span + 1).bit_length(), k.bit_length()
+    getrandbits = rng.getrandbits
     lefts, colors = [], []
     for _ in range(n):
-        lefts.append(rng.randint(0, span))
-        colors.append(rng.randint(1, k))
+        a = getrandbits(bits)
+        while a > span:
+            a = getrandbits(bits)
+        lefts.append(a)
+        c = getrandbits(color_bits)
+        while c >= k:
+            c = getrandbits(color_bits)
+        colors.append(c + 1)
     rights = [left + 1 for left in lefts]
     return ColoredIntervalInstance.from_columns(k, lefts, rights, colors, proper_flag=True)
 
@@ -107,19 +142,19 @@ def random_three_bounded(
         raise ValueError("need at least 2 variables to form a 2-literal clause")
     if max_clauses is None:
         max_clauses = max(1, num_vars)
-    budget = {v: 3 for v in range(1, num_vars + 1)}
+    budget = [3] * (num_vars + 1)
+    available = list(range(1, num_vars + 1))  # variables with budget left, ascending
     clauses = []
     target = rng.randint(1, max_clauses)
-    while len(clauses) < target:
-        available = [v for v, b in budget.items() if b > 0]
-        if len(available) < 2:
-            break
+    while len(clauses) < target and len(available) >= 2:
         size = rng.choice((2, 3))
         size = min(size, len(available))
         chosen = rng.sample(available, size)
         clause = tuple(v if rng.random() < 0.5 else -v for v in sorted(chosen))
         for v in chosen:
             budget[v] -= 1
+            if not budget[v]:
+                del available[bisect_left(available, v)]
         clauses.append(clause)
     if not clauses:
         raise ValueError("could not form any clause")

@@ -23,11 +23,13 @@ _layout.  A GadgetMetadata file stores only the reduction's kind and its
 source formula (num_vars and clauses).  The role of every interval and each
 variable's gadget of interval ids are derived from that formula by the same
 plan, once per metadata object, so solutions can be decoded to assignments
-and assignments encoded back to solutions.  Files of earlier versions, which
-also listed roles and gadgets, are refused and have to be regenerated with
-`balint reduce`.  Every bridge first checks that the metadata is of its kind
-and that the interval and color counts of its formula match the instance, so
-mismatched files fail with ValueError.
+and assignments encoded back to solutions.  The plan gives each role as a
+(role class, *fields) tuple and each gadget as its field tuple; only the
+metadata builds the objects, so reducing builds none.  Files of earlier
+versions, which also listed roles and gadgets, are refused and have to be
+regenerated with `balint reduce`.  Every bridge first checks that the
+metadata is of its kind and that the interval and color counts of its
+formula match the instance, so mismatched files fail with ValueError.
 """
 
 from __future__ import annotations
@@ -120,7 +122,10 @@ class GadgetMetadata:
         ValueError when the formula is not one the reduction takes."""
         plan = _indset_plan if self.kind == "indset" else _domset_plan
         _, roles, gadgets = plan(self._formula)
-        return dict(enumerate(roles)), gadgets
+        return (
+            {id: role[0](*role[1:]) for id, role in enumerate(roles)},
+            {var: VariableGadget(*fields) for var, fields in gadgets.items()},
+        )
 
     @property
     def roles(self) -> dict[int, object]:
@@ -209,8 +214,8 @@ def _layout(k: int, components) -> ColoredIntervalInstance:
 
 
 def _indset_plan(phi: CnfFormula) -> tuple[list, list, dict]:
-    """Components and roles, in id order, of the independent-set reduction of
-    a 3-bounded formula; it has no variable gadgets."""
+    """Components and role tuples, in id order, of the independent-set
+    reduction of a 3-bounded formula; it has no variable gadgets."""
     # a formula without clauses is 3-bounded, though build flavors it tptn
     # when it also has no variables
     if phi.clauses and phi.flavor != "three_bounded":
@@ -227,18 +232,18 @@ def _indset_plan(phi: CnfFormula) -> tuple[list, list, dict]:
                 occurrences = ((neg[0], False), (pos[0], True), (neg[1], False))
             template = EDGE_COORDS if len(occurrences) == 2 else PATH_COORDS
             components.append((template, [j for j, _ in occurrences]))
-            roles += [OccurrenceRole(var, j, positive) for j, positive in occurrences]
+            roles += [(OccurrenceRole, var, j, positive) for j, positive in occurrences]
         else:
             positive = bool(pos)
             for j in pos or neg:
                 components.append((SINGLETON_COORDS, (j,)))
-                roles.append(OccurrenceRole(var, j, positive))
+                roles.append((OccurrenceRole, var, j, positive))
     return components, roles, {}
 
 
-def _domset_plan(phi: CnfFormula) -> tuple[list, list, dict[int, VariableGadget]]:
-    """Components, roles and variable gadgets, in id order, of the
-    dominating-set reduction of a 2P2N formula."""
+def _domset_plan(phi: CnfFormula) -> tuple[list, list, dict[int, tuple]]:
+    """Components, role tuples and VariableGadget field tuples, in id order,
+    of the dominating-set reduction of a 2P2N formula."""
     if phi.flavor != "tptn":
         raise ValueError("formula is not 2P2N (every variable exactly twice "
                          "positive and twice negative, clauses of 1-3 literals)")
@@ -248,7 +253,7 @@ def _domset_plan(phi: CnfFormula) -> tuple[list, list, dict[int, VariableGadget]
         z = 5 * (var - 1)
         components += (PATH_COORDS, (z + 1, z + 5, z + 2)), (PATH_COORDS, (z + 3, z + 5, z + 4))
         hub_ids.append(range(len(roles), len(roles) + 6))
-        roles += [HubRole(var, name) for name in ("t1", "h_t", "t2", "f1", "h_f", "f2")]
+        roles += [(HubRole, var, name) for name in ("t1", "h_t", "t2", "f1", "h_f", "f2")]
     # clause_ids[v] holds v's c_t1, c_t2, c_f1, c_f2: part 1..4 of a clause
     # vertex names both its slot in that list and its leaf color
     clause_ids = [[0] * 4 for _ in range(phi.num_vars + 1)]
@@ -260,17 +265,13 @@ def _domset_plan(phi: CnfFormula) -> tuple[list, list, dict[int, VariableGadget]
             part = (0 if positive else 2) + slot
             colors.append(5 * (var - 1) + part)
             clause_ids[var][part - 1] = len(roles)
-            roles.append(ClauseRole(j, var, positive, slot))
+            roles.append((ClauseRole, j, var, positive, slot))
         template = (SINGLETON_COORDS, EDGE_COORDS, TRIANGLE_COORDS)[len(clause) - 1]
         components.append((template, colors))
     gadgets = {}
     for var, (pos, neg) in enumerate(phi.occurrence_lists[1:], start=1):
         t1, h_t, t2, f1, h_f, f2 = hub_ids[var]
-        c_t1, c_t2, c_f1, c_f2 = clause_ids[var]
-        gadgets[var] = VariableGadget(
-            t1=t1, t2=t2, f1=f1, f2=f2, h_t=h_t, h_f=h_f,
-            c_t1=c_t1, c_t2=c_t2, c_f1=c_f1, c_f2=c_f2, pos_clauses=pos, neg_clauses=neg,
-        )
+        gadgets[var] = (t1, t2, f1, f2, h_t, h_f, *clause_ids[var], pos, neg)
     return components, roles, gadgets
 
 

@@ -229,6 +229,19 @@ def test_gen_deterministic_output(tmp_path, capsys):
     assert parse_instance(a.read_text()).n == 8
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--f-target", "-1"], "error: need f_target >= 0\n"),
+        (["--model", "proper-unit", "--f-target", "3"],
+         "error: f_target applies only to uniform-random, not proper-unit\n"),
+    ],
+)
+def test_gen_refuses_an_f_target_it_would_ignore(capsys, extra, message):
+    code, out, err = run(["gen", "--n", "8", "--k", "3", *extra], capsys)
+    assert (code, out, err) == (1, "", message)
+
+
 def test_bench_quality_csv(tmp_path, capsys):
     out_csv = tmp_path / "rows.csv"
     code, out, _ = run(

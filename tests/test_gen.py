@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from random import Random
 
 import pytest
@@ -13,6 +14,8 @@ from balint import (
     oracle_mcis,
     random_three_bounded,
     random_tptn_uniform3,
+    serialize_dimacs,
+    serialize_instance,
 )
 from balint.gen import MODELS
 
@@ -98,6 +101,20 @@ def test_generate_validates_parameters(n: int, k: int):
         generate(GenSpec(n=n, k=k, seed=0, model="uniform-random"))
 
 
+@pytest.mark.parametrize(
+    "model, f_target",
+    [("uniform-random", -1), *((m, 3) for m in MODELS if m != "uniform-random")],
+)
+def test_gen_spec_refuses_an_f_target_it_would_ignore(model: str, f_target: int):
+    with pytest.raises(ValueError, match="f_target"):
+        GenSpec(n=6, k=2, seed=0, model=model, f_target=f_target)
+
+
+def test_gen_spec_takes_f_target_zero_on_uniform_random():
+    spec = GenSpec(n=6, k=2, seed=0, f_target=0)
+    assert generate(spec) == generate(GenSpec(n=6, k=2, seed=0))
+
+
 def test_generate_rejects_unknown_model():
     with pytest.raises(ValueError):
         generate(GenSpec(n=3, k=1, seed=0, model="bogus"))
@@ -129,3 +146,33 @@ def test_random_tptn_uniform3_needs_multiple_of_three():
     with pytest.raises(ValueError):
         random_tptn_uniform3(4, Random(0))
     assert random_tptn_uniform3(6, Random(1)).num_vars == 6
+
+
+def stream_digest() -> str:
+    """sha256 over a grid of generated instances and formulas: every model
+    (n from 0, k from 1, f_target None/1/3 on uniform-random) and both formula
+    generators over a few seeds.  It pins the random streams byte for byte."""
+    digest = hashlib.sha256()
+    for model in MODELS:
+        targets = (None, 1, 3) if model == "uniform-random" else (None,)
+        for n in (0, 1, 2, 5, 17, 64, 300):
+            for k in (1, 2, 3, 7, 17):
+                for seed in range(4):
+                    for f_target in targets:
+                        spec = GenSpec(n=n, k=k, seed=seed, model=model, f_target=f_target)
+                        digest.update(serialize_instance(generate(spec)).encode())
+    for seed in range(4):
+        for num_vars in (2, 5, 40, 300):
+            digest.update(serialize_dimacs(random_three_bounded(num_vars, Random(seed))).encode())
+        for num_vars in (3, 6):
+            digest.update(serialize_dimacs(random_tptn_uniform3(num_vars, Random(seed))).encode())
+    return digest.hexdigest()
+
+
+# stream_digest() of the generators when they drew with random.randint; the
+# same on Python 3.10 to 3.13.
+PINNED_STREAM_DIGEST = "da29e8e17eb3e1a9d34011035b23b6a97f156e8d5f8c5e4fc112de2642ac2690"
+
+
+def test_generated_streams_are_pinned():
+    assert stream_digest() == PINNED_STREAM_DIGEST
