@@ -8,8 +8,9 @@ times are medians of `reps` runs of the solve call alone (parsing, generation
 and the optimum excluded), each on a fresh copy of the instance, so that every
 run builds the instance's sorted view and masks anew.  Rows are appended and
 flushed as they complete.  `out` is a text stream, or a function that opens
-one; a suite calls it only after its GenSpecs (and, for quality, the
-local-search guard) have passed their checks, so a refused run opens nothing.
+one; a suite calls it only after its GenSpecs, reps >= 1 and (for quality)
+the local-search guard or (for dp-scaling) f >= 1 and the vector guard
+have passed their checks, so a refused run opens nothing.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from statistics import median
 from time import perf_counter
 from typing import Callable, TextIO
 
-from .fbis_dp import max_colors, solve_fbis_dp
+from .fbis_dp import _check_params, max_colors, solve_fbis_dp
 from .gen import GenSpec, generate
 from .mcis import (
     NEIGHBOR_BUDGET,
@@ -92,6 +93,11 @@ class _RowSink:
             self.out.flush()
 
 
+def _check_reps(reps: int) -> None:
+    if reps < 1:
+        raise ValueError(f"need reps >= 1, got {reps}")
+
+
 def _timed(solve, inst: ColoredIntervalInstance, reps: int):
     """Median wall time of reps calls of solve, each on a copy of inst made
     outside the timer; returns (result of last call, seconds)."""
@@ -152,6 +158,7 @@ def run_quality_suite(
     # sink writes the CSV header
     specs = [GenSpec(n=n, k=k, seed=seed + i, model="uniform-random") for i in range(count)]
     _guard_budget(n, b, NEIGHBOR_BUDGET)
+    _check_reps(reps)
     sink = _RowSink(out)
     for spec in specs:
         for row in _quality_task(spec, b, reps):
@@ -181,6 +188,10 @@ def run_dp_scaling_suite(
     The per-size instance is generated once; the solve call is timed reps
     times and the median reported.  Time should grow about linearly in n."""
     specs = [GenSpec(n=n, k=k, seed=seed + n, model="uniform-random") for n in sizes]
+    _check_reps(reps)
+    if f < 1:
+        raise ValueError("f must be >= 1")
+    _check_params(k, f)
     sink = _RowSink(out)
     for spec in specs:
         inst = generate(spec)

@@ -13,14 +13,13 @@ from dataclasses import dataclass, field
 
 from .model import FormatError
 
-FLAVORS = ("tptn", "three_bounded", "general")
-
 
 @dataclass(frozen=True)
 class CnfFormula:
-    """A validated formula.  occurrence_lists[var] is occurrences(var) as a
-    pair of tuples (entry 0 is unused), computed once by build; the flavor is
-    classified from them when the formula is constructed."""
+    """A validated formula.  occurrence_lists[var] is (positive clause
+    indices, negative clause indices), 1-based and ascending (entry 0 is
+    unused), computed once by build; the flavor is classified from them when
+    the formula is constructed."""
 
     num_vars: int
     clauses: tuple[tuple[int, ...], ...]
@@ -65,11 +64,6 @@ class CnfFormula:
             clauses=tuple(normalized),
             occurrence_lists=tuple((tuple(pos), tuple(neg)) for pos, neg in table),
         )
-
-    def occurrences(self, var: int) -> tuple[list[int], list[int]]:
-        """(positive clause indices, negative clause indices), 1-based, ascending."""
-        pos, neg = self.occurrence_lists[var]
-        return list(pos), list(neg)
 
 
 def is_three_bounded(phi: CnfFormula) -> bool:

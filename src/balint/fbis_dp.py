@@ -9,6 +9,12 @@ iff bit (f+1)^k - 1, the vector (f,...,f), reaches the last level.  The
 witness walk takes the interval of the first level holding the vector,
 removes its digit and searches again at or below its prev position.  The
 solver refuses (f+1)^k > VECTOR_GUARD vectors.
+
+Every set bit is the histogram of an independent set, and dropping an
+interval keeps a set independent, so the reachable vectors are closed under
+lowering one component.  Hence some vector with every component >= g is
+reachable iff the diagonal vector (g,...,g), bit g ((f+1)^k - 1) / f, is:
+the feasibility test and the largest feasible f each read one diagonal bit.
 """
 
 from __future__ import annotations
@@ -27,11 +33,11 @@ from .model import (
 VECTOR_GUARD = 1 << 26
 
 
-def _digit_band(k: int, f: int, c: int, lo: int, hi: int) -> int:
-    """The packed vectors whose component c lies in lo..hi-1: one block of
+def _digit_band(k: int, f: int, c: int) -> int:
+    """The packed vectors whose component c lies in 0..f-1: one block of
     bits per value of the more significant components, tiled by doubling."""
     stride = (f + 1) ** (k - 1 - c)
-    block = ((1 << stride * (hi - lo)) - 1) << stride * lo
+    block = (1 << stride * f) - 1
     band, width, times = 0, stride * (f + 1), (f + 1) ** c
     while times:
         if times & 1:
@@ -45,7 +51,7 @@ def _digit_band(k: int, f: int, c: int, lo: int, hi: int) -> int:
 def _run_dp(view: SortedView, k: int, f: int) -> list[int]:
     """Packed levels 0..n over view: bit u of levels[p] is set iff vector u
     is the histogram of an independent set among the first p positions."""
-    steps = [(_digit_band(k, f, c, 0, f), (f + 1) ** (k - 1 - c)) for c in range(k)]
+    steps = [(_digit_band(k, f, c), (f + 1) ** (k - 1 - c)) for c in range(k)]
     levels = [1]
     current = 1
     for c, prev in zip(view.colors, view.prev):
@@ -73,10 +79,10 @@ def _reconstruct(
     return ids
 
 
-def _check_params(inst: ColoredIntervalInstance, f: int) -> None:
-    if (f + 1) ** inst.k > VECTOR_GUARD:
+def _check_params(k: int, f: int) -> None:
+    if (f + 1) ** k > VECTOR_GUARD:
         raise GuardError(
-            f"(f+1)^k = {(f + 1) ** inst.k} vectors exceeds {VECTOR_GUARD}; "
+            f"(f+1)^k = {(f + 1) ** k} vectors exceeds {VECTOR_GUARD}; "
             "parameter too large for the vector DP"
         )
 
@@ -93,7 +99,7 @@ def solve_fbis_dp(
     stats = {} if stats is None else stats
     if f < 1:
         raise ValueError("f must be >= 1")
-    _check_params(inst, f)
+    _check_params(inst.k, f)
     if inst.is_color_deficient():
         stats.update(feasible=False, peak_states=0, reason="color-deficient")
         return None
@@ -114,8 +120,8 @@ def max_colors(inst: ColoredIntervalInstance) -> int:
     those with the top digit set and at least j - 1 below it; each band is
     built from the previous one by doubling.  Raises GuardError when 2^k >
     VECTOR_GUARD."""
-    _check_params(inst, 1)
     k = inst.k
+    _check_params(k, 1)
     final = _run_dp(inst.view, k, 1)[-1]
     at_least = [(1 << (1 << m)) - 1 for m in range(k + 1)]  # j = 0, for m = 0..k
     best = 0
@@ -129,24 +135,19 @@ def max_colors(inst: ColoredIntervalInstance) -> int:
     return best
 
 
-def max_f(inst: ColoredIntervalInstance, stats: dict | None = None) -> int:
-    """Largest f >= 0 admitting an f-balanced independent set.
-
-    One DP run with every component capped at min(smallest color class,
-    floor(alpha / k)), alpha being the greedy maximum independent set size
-    (k f <= alpha for any f-balanced independent set); the answer is the
-    largest g such that some final vector has every component >= g (a
-    balanced sub-selection of any witness set stays independent).
-    """
-    value, _ = max_f_with_witness(inst, stats)
-    return value
-
-
 def max_f_with_witness(
     inst: ColoredIntervalInstance, stats: dict | None = None
 ) -> tuple[int, SolutionSet | None]:
-    """max_f plus a witness trimmed to exactly that many intervals per color,
-    from the lowest final vector (in lexicographic order) with that minimum."""
+    """Largest f >= 0 admitting an f-balanced independent set, with a witness
+    (None when f = 0).
+
+    One DP run with every component capped at min(smallest color class,
+    floor(alpha / k)), alpha being the greedy maximum independent set size
+    (k f <= alpha for any f-balanced independent set).  Since the reachable
+    vectors are closed under lowering a component, the answer is the largest
+    g <= cap whose diagonal vector (g,...,g) reaches the last level, and the
+    witness is reconstructed from that vector.
+    """
     stats = {} if stats is None else stats
     if inst.k == 0:
         return 0, None
@@ -155,21 +156,13 @@ def max_f_with_witness(
     if cap == 0:
         stats.update(peak_states=0, max_f=0)
         return 0, None
-    _check_params(inst, cap)
+    _check_params(k, cap)
     levels = _run_dp(inst.view, k, cap)
     final = levels[-1]
-    best, hits = 0, final
-    while best < cap:
-        above = final
-        for c in range(k):
-            above &= _digit_band(k, cap, c, best + 1, cap + 1)
-        if not above:
-            break
-        best, hits = best + 1, above
+    unit = ((cap + 1) ** k - 1) // cap
+    best = next(g for g in range(cap, -1, -1) if final >> g * unit & 1)
     stats.update(peak_states=final.bit_count(), max_f=best)
     if best == 0:
         return 0, None
-    ids = sorted(_reconstruct(inst.view, levels, k, cap, (hits & -hits).bit_length() - 1))
-    classes = [[i for i in ids if inst.colors[i] == c] for c in range(1, k + 1)]
-    trimmed = [id for members in classes for id in members[:best]]
-    return best, verified_solution(inst, "BIS", trimmed, best)
+    ids = _reconstruct(inst.view, levels, k, cap, best * unit)
+    return best, verified_solution(inst, "BIS", ids, best)

@@ -116,14 +116,6 @@ class ColoredIntervalInstance:
             classes[color - 1].append(id)
         return classes
 
-    def color_classes(self) -> dict[int, list[Interval]]:
-        """Intervals grouped by color; every color 1..k is a key (possibly empty)."""
-        ivs = self.intervals
-        return {
-            color: [ivs[id] for id in ids]
-            for color, ids in enumerate(self.color_class_ids(), start=1)
-        }
-
     def missing_colors(self) -> tuple[int, ...]:
         present = set(self.colors)
         return tuple(c for c in range(1, self.k + 1) if c not in present)

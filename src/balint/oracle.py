@@ -54,7 +54,7 @@ def oracle_fbis(
     """
     if f < 1:
         raise ValueError("f must be >= 1")
-    classes = [sorted(iv.id for iv in ivs) for ivs in inst.color_classes().values()]
+    classes = inst.color_class_ids()
     total = 1
     for ids in classes:
         total *= comb(len(ids), f)
@@ -99,7 +99,7 @@ def oracle_mcis(
     Tries every per-class choice of one id or none.  Ties are broken toward the
     lexicographically smallest sorted id tuple among the optima.
     """
-    classes = [sorted(iv.id for iv in ivs) for ivs in inst.color_classes().values()]
+    classes = inst.color_class_ids()
     total = 1
     for ids in classes:
         total *= len(ids) + 1

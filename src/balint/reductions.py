@@ -113,7 +113,7 @@ class GadgetMetadata:
     clauses: tuple[tuple[int, ...], ...]
 
     @cached_property
-    def _formula(self) -> CnfFormula:
+    def formula(self) -> CnfFormula:
         return CnfFormula.build(self.num_vars, self.clauses)
 
     @cached_property
@@ -121,7 +121,7 @@ class GadgetMetadata:
         """(roles, variable_gadgets) from the reduction's plan; raises
         ValueError when the formula is not one the reduction takes."""
         plan = _indset_plan if self.kind == "indset" else _domset_plan
-        _, roles, gadgets = plan(self._formula)
+        _, roles, gadgets = plan(self.formula)
         return (
             {id: role[0](*role[1:]) for id, role in enumerate(roles)},
             {var: VariableGadget(*fields) for var, fields in gadgets.items()},
@@ -142,9 +142,6 @@ class GadgetMetadata:
             for id, role in self.roles.items()
             if isinstance(role, OccurrenceRole)
         }
-
-    def formula(self) -> CnfFormula:
-        return self._formula
 
     def occurrence_id(self, variable: int, clause: int) -> int:
         try:

@@ -308,6 +308,23 @@ def test_local_search_guard_refusal_leaves_out_file_alone(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "suite_args, error",
+    [
+        (["--suite", "dp-scaling", "--sizes", "32", "--reps", "0"], "need reps >= 1, got 0"),
+        (["--suite", "dp-scaling", "--sizes", "32", "--reps", "-1"], "need reps >= 1, got -1"),
+        (["--suite", "quality", "--count", "2", "--reps", "0"], "need reps >= 1, got 0"),
+        (["--suite", "dp-scaling", "--sizes", "32", "--f", "0", "--reps", "1"], "f must be >= 1"),
+        (
+            ["--suite", "dp-scaling", "--sizes", "32", "--f", "1000", "--reps", "1"],
+            "(f+1)^k = 1004006004001 vectors exceeds 67108864; parameter too large for the vector DP",
+        ),
+    ],
+)
+def test_refused_reps_or_f_leaves_out_file_alone(tmp_path, capsys, suite_args, error):
+    _assert_refusal_leaves_out_alone(tmp_path, capsys, suite_args, f"error: {error}\n")
+
+
 def _assert_refusal_leaves_out_alone(tmp_path, capsys, suite_args, error):
     fresh, existing = tmp_path / "fresh.csv", tmp_path / "existing.csv"
     existing.write_bytes(b"earlier rows\r\n")

@@ -67,8 +67,7 @@ def test_four_occurrences_break_three_bounded():
 
 def test_occurrences_lists_one_based_clause_indices_by_polarity():
     phi = CnfFormula.build(2, [(1, 2), (-1, 2), (-1, -2)])
-    pos, neg = phi.occurrences(1)
-    assert (pos, neg) == ([1], [2, 3])
+    assert phi.occurrence_lists[1] == ((1,), (2, 3))
 
 
 def test_parse_dimacs_multiline_clause_and_comments():
@@ -95,6 +94,26 @@ def test_parse_dimacs_errors(text: str, fragment: str):
     with pytest.raises(FormatError) as err:
         parse_dimacs(text)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("p cnf 1 1\np cnf 1 1\n1 0\n", 2, "duplicate problem line"),
+        ("p cnf 1\n", 1, "problem line must be 'p cnf <vars> <clauses>'"),
+        ("p dnf 1 1\n", 1, "problem line must be 'p cnf <vars> <clauses>'"),
+        ("c counts\np cnf a 1\n", 2, "problem line counts must be integers"),
+        ("p cnf 2 1\n1 x 0\n", 2, "bad literal 'x'"),
+        ("p cnf 1 2\n1 0\n0\n", 3, "empty clause"),
+        ("c no problem line\n", None, "missing problem line"),
+        ("p cnf 1 1\n1\n", None, "unterminated clause at end of input"),
+    ],
+)
+def test_parse_dimacs_error_messages_and_lines(text: str, line: int | None, message: str):
+    with pytest.raises(FormatError) as err:
+        parse_dimacs(text)
+    assert err.value.line == line
+    assert str(err.value) == (message if line is None else f"line {line}: {message}")
 
 
 def test_serialize_dimacs_round_trip():

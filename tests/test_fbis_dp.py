@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 
@@ -10,7 +12,6 @@ from balint import (
     build_sorted_view,
     generate,
     max_colors,
-    max_f,
     max_f_with_witness,
     oracle_fbis,
     oracle_mcis,
@@ -169,12 +170,12 @@ def test_dp_deterministic_witness():
 
 def test_max_f_worked_example():
     inst = build_instance(2, [(0, 2, 1), (1, 3, 2), (4, 5, 2)])
-    assert max_f(inst) == 1
+    assert max_f_with_witness(inst)[0] == 1
 
 
 def test_max_f_zero_for_deficient_or_empty():
-    assert max_f(build_instance(2, [(0, 1, 1)])) == 0
-    assert max_f(build_instance(1, [])) == 0
+    assert max_f_with_witness(build_instance(2, [(0, 1, 1)]))[0] == 0
+    assert max_f_with_witness(build_instance(1, []))[0] == 0
 
 
 def test_max_f_witness_verifies_at_reported_f():
@@ -204,7 +205,7 @@ def test_max_f_caps_vectors_at_alpha_over_k():
 @settings(max_examples=100, deadline=None)
 @given(inst=instances(max_n=10, max_k=2))
 def test_max_f_matches_oracle_sweep(inst: ColoredIntervalInstance):
-    best = max_f(inst)
+    best = max_f_with_witness(inst)[0]
     if best > 0:
         assert oracle_fbis(inst, best) is not None
     assert oracle_fbis(inst, best + 1) is None
@@ -256,3 +257,20 @@ def test_max_colors_vector_guard():
     assert max_colors(build_instance(20, [(3 * c, 3 * c + 1, c + 1) for c in range(20)])) == 20
     with pytest.raises(GuardError):
         max_colors(build_instance(27, [(3 * c, 3 * c + 1, c + 1) for c in range(27)]))
+
+
+def max_f_digest() -> str:
+    """sha256 over (best, sorted witness ids) of max_f_with_witness on 560
+    seeded instances, 376 of them with a positive answer."""
+    digest = hashlib.sha256()
+    for model in ("uniform-random", "proper-unit"):
+        for n in (0, 1, 6, 14, 30, 60, 120):
+            for k in (1, 2, 3, 4):
+                for seed in range(10):
+                    best, sol = max_f_with_witness(generate(GenSpec(n, k, seed, model)))
+                    digest.update(repr((best, None if sol is None else sorted(sol.ids))).encode())
+    return digest.hexdigest()
+
+
+def test_max_f_answers_are_pinned():
+    assert max_f_digest() == "ae60b206fdb0adaacf2773406a1033954e84072080d97bea24eed7f595422bf5"

@@ -12,6 +12,8 @@ from balint import (
     FormatError,
     GenSpec,
     Interval,
+    SolutionSet,
+    Verdict,
     build_sorted_view,
     generate,
     intersects,
@@ -105,10 +107,7 @@ def test_proper_flag_allows_identical_intervals():
 
 def test_color_classes_and_deficiency():
     inst = build_instance(3, [(0, 1, 1), (2, 3, 1), (5, 6, 3)])
-    classes = inst.color_classes()
-    assert [iv.id for iv in classes[1]] == [0, 1]
-    assert classes[2] == []
-    assert [iv.id for iv in classes[3]] == [2]
+    assert inst.color_class_ids() == [[0, 1], [], [2]]
     assert inst.missing_colors() == (2,)
     assert inst.is_color_deficient()
     assert not build_instance(1, [(0, 1, 1)]).is_color_deficient()
@@ -373,6 +372,56 @@ def test_solution_from_ids_rejects_unknown_id():
     inst = build_instance(1, [(0, 1, 1)])
     with pytest.raises(ValueError):
         solution_from_ids(inst, "BIS", [3])
+
+
+def _assert_format_error(parse, text: str, line: int | None, message: str):
+    with pytest.raises(FormatError) as err:
+        parse(text)
+    assert err.value.line == line
+    assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("# only a comment\n", None, "missing solution header"),
+        ("kind=BIS\n0\n", 1, "header must be 'kind=<BIS|MCIS|BDS> f=<f>'"),
+        ("kind=FOO f=1\n", 1, "kind must be one of ('BIS', 'MCIS', 'BDS')"),
+        ("kind=BIS f=x\n", 1, "f must be an integer"),
+        ("kind=BIS f=1\n0\nfoo\n", 3, "expected one interval id per line"),
+        ("kind=BIS f=1\n0\n0\n", None, "duplicate id 0 in solution"),
+    ],
+)
+def test_parse_solution_error_messages_and_lines(text: str, line: int | None, message: str):
+    _assert_format_error(parse_solution, text, line, message)
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("y1=0\n", 1, "expected 'x<i>=0|1'"),
+        ("x1=1\nx2\n", 2, "expected 'x<i>=0|1'"),
+        ("xa=1\n", 1, "variable index must be an integer"),
+        ("x1=2\n", 1, "assignment value must be 0 or 1"),
+        ("x1=1\n# again\nx1=0\n", 3, "variable x1 assigned twice"),
+    ],
+)
+def test_parse_assignment_error_messages_and_lines(text: str, line: int | None, message: str):
+    _assert_format_error(parse_assignment, text, line, message)
+
+
+def test_interval_rejects_out_of_range_id():
+    inst = build_instance(1, [(0, 1, 1)])
+    assert inst.interval(0).right == 1
+    for id in (1, -1):
+        with pytest.raises(ValueError, match=f"unknown interval id {id}"):
+            inst.interval(id)
+
+
+def test_verify_rejects_counts_that_do_not_match_the_ids():
+    inst = build_instance(2, [(0, 2, 1), (4, 5, 2)])
+    sol = SolutionSet("BIS", frozenset({0}), (0, 1))
+    assert verify_solution(inst, sol, 1) == Verdict(False, "per_color_counts does not match the ids")
 
 
 def test_assignment_round_trip():

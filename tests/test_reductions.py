@@ -402,7 +402,7 @@ def test_metadata_json_round_trip():
         _, meta = reducer(phi)
         again = GadgetMetadata.from_json_dict(json.loads(json.dumps(meta.to_json_dict())))
         assert again == meta
-        assert again.formula() == phi
+        assert again.formula == phi
 
 
 def test_metadata_occurrence_lookup():
