@@ -11,9 +11,9 @@ the combination count exceeds COMBINATION_GUARD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .model import (
     ColoredIntervalInstance,
@@ -25,8 +25,7 @@ from .model import (
 COMBINATION_GUARD = 10**8
 
 
-@dataclass(frozen=True)
-class DominationIndex:
+class DominationIndex(NamedTuple):
     """Closed-neighborhood bitmasks: bit v of closed_masks[u] is set iff u = v
     or intervals u and v intersect.  A selection dominates the instance iff the
     OR of its members' masks is full_mask."""

@@ -16,10 +16,9 @@ have passed their checks, so a refused run opens nothing.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from statistics import median
 from time import perf_counter
-from typing import Callable, TextIO
+from typing import Callable, NamedTuple, TextIO
 
 from .fbis_dp import _check_params, max_colors, solve_fbis_dp
 from .gen import GenSpec, generate
@@ -48,8 +47,7 @@ BENCH_FIELDS = (
 DP_SCALING_SIZES = tuple(2**e for e in range(10, 18))
 
 
-@dataclass(frozen=True)
-class BenchRow:
+class BenchRow(NamedTuple):
     instance: str
     n: int
     k: int

@@ -9,30 +9,26 @@ one to three literals), else ``general``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .model import FormatError
+from .model import FormatError, _Record
 
 
-@dataclass(frozen=True)
-class CnfFormula:
+class CnfFormula(_Record):
     """A validated formula.  occurrence_lists[var] is (positive clause
     indices, negative clause indices), 1-based and ascending (entry 0 is
     unused), computed once by build; the flavor is classified from them when
-    the formula is constructed."""
+    the formula is constructed.  ==, hash and repr leave occurrence_lists out."""
 
+    _fields = ("num_vars", "clauses", "flavor")
     num_vars: int
     clauses: tuple[tuple[int, ...], ...]
-    flavor: str = field(init=False)
-    occurrence_lists: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = field(
-        compare=False, repr=False
-    )
+    flavor: str
+    occurrence_lists: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
-    def __post_init__(self):
-        flavor = (
+    def __init__(self, num_vars: int, clauses, occurrence_lists):
+        vars(self).update(num_vars=num_vars, clauses=clauses, occurrence_lists=occurrence_lists)
+        vars(self)["flavor"] = (
             "tptn" if is_tptn(self) else "three_bounded" if is_three_bounded(self) else "general"
         )
-        object.__setattr__(self, "flavor", flavor)
 
     @staticmethod
     def build(num_vars: int, clauses) -> "CnfFormula":

@@ -69,13 +69,14 @@ def _reconstruct(
     """Ids of an independent set with histogram `vector`, which must be set in
     levels[-1]: repeatedly take the interval of the first level holding the
     vector, remove its color and continue at or below its prev position."""
+    order, prev, colors = view.order, view.prev, view.colors
     ids = []
     hi = len(levels)
     while vector:
         pos = bisect_left(levels, 1, 0, hi, key=lambda level: level >> vector & 1)
-        ids.append(view.order[pos - 1])
-        vector -= (f + 1) ** (k - 1 - view.colors[pos - 1])
-        hi = view.prev[pos - 1] + 1
+        ids.append(order[pos - 1])
+        vector -= (f + 1) ** (k - 1 - colors[pos - 1])
+        hi = prev[pos - 1] + 1
     return ids
 
 

@@ -14,8 +14,7 @@ tau > TAU_GUARD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .model import (
     ColoredIntervalInstance,
@@ -28,8 +27,7 @@ from .model import (
 TAU_GUARD = 30
 
 
-@dataclass(frozen=True)
-class VertexCoverDecomposition:
+class VertexCoverDecomposition(NamedTuple):
     independent: frozenset[int]
     cover: frozenset[int]
 
@@ -81,7 +79,8 @@ def _walk(
     feasibility test, and at f = 0 nothing is cut.  counts is kept at [nodes
     visited, leaves reached], cut ones included.
     """
-    cover = [(pos, id) for pos, id in enumerate(inst.view.order, start=1) if id in decomp.cover]
+    cover_ids = decomp.cover
+    cover = [(pos, id) for pos, id in enumerate(inst.view.order, start=1) if id in cover_ids]
     tau = len(cover)
     color_masks = [sum(1 << id for id in ids) for ids in inst.color_class_ids()]
     remaining = [[0] * inst.k]

@@ -21,8 +21,8 @@ elsewhere."""
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from random import Random
+from typing import NamedTuple
 
 from .cnf import CnfFormula
 from .model import ColoredIntervalInstance
@@ -31,24 +31,32 @@ from .reductions import reduce_indset
 MODELS = ("uniform-random", "proper-unit", "greedy-adversarial", "sat-derived")
 
 
-@dataclass(frozen=True)
-class GenSpec:
+class _GenSpecFields(NamedTuple):
     n: int
     k: int
     seed: int
     model: str = "uniform-random"
     f_target: int | None = None
 
-    def __post_init__(self):
-        if self.model not in MODELS:
-            raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
-        if self.n < 0 or self.k < 1:
+
+class GenSpec(_GenSpecFields):
+    __slots__ = ()
+
+    def __new__(cls, n, k, seed, model="uniform-random", f_target=None):
+        if model not in MODELS:
+            raise ValueError(f"model must be one of {MODELS}, got {model!r}")
+        if n < 0 or k < 1:
             raise ValueError("need n >= 0 and k >= 1")
-        if self.f_target is not None:
-            if self.model != "uniform-random":
-                raise ValueError(f"f_target applies only to uniform-random, not {self.model}")
-            if self.f_target < 0:
+        if f_target is not None:
+            if model != "uniform-random":
+                raise ValueError(f"f_target applies only to uniform-random, not {model}")
+            if f_target < 0:
                 raise ValueError("need f_target >= 0")
+        return super().__new__(cls, n, k, seed, model, f_target)
+
+    @classmethod
+    def _make(cls, iterable) -> "GenSpec":
+        return cls(*iterable)  # so that _replace checks the fields too
 
 
 def generate(spec: GenSpec) -> ColoredIntervalInstance:

@@ -10,8 +10,8 @@ re-check used by the tests.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .model import (
     ColoredIntervalInstance,
@@ -28,8 +28,7 @@ NEIGHBOR_BUDGET = 10**9
 _EXACT_WORK_BITS = 1 << 14
 
 
-@dataclass(frozen=True)
-class LocalSearchConfig:
+class LocalSearchConfig(NamedTuple):
     b: int = 2
     neighbor_budget: int = NEIGHBOR_BUDGET
 

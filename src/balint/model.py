@@ -10,6 +10,10 @@ An instance is three columns, ``lefts``, ``rights`` and ``colors``: interval
 i is (lefts[i], rights[i], colors[i]) and its id is its position.  Parsing
 fills them and every index reads them; Interval objects are only views.
 
+Records are NamedTuples (equal to plain tuples of their fields; _replace
+makes a changed copy), or, when they keep derived state like the instance,
+_Records.  So `import balint` loads neither dataclasses nor inspect.
+
 Every solver reads one index per instance: ``inst.view``, the sorted view with
 its prev table, and ``inst.masks``, the closed-neighborhood bitmasks.  Each is
 built on first use and then kept as long as the instance lives.  The masks
@@ -19,10 +23,10 @@ take about n^2/8 bytes, so about 32 MB at n = 16384.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat
 from operator import eq, le, or_
+from typing import NamedTuple
 
 SOLUTION_KINDS = ("BIS", "MCIS", "BDS")
 
@@ -45,9 +49,37 @@ class VerificationError(RuntimeError):
     """A solver's answer failed verify_solution: a solver bug, never bad input."""
 
 
-@dataclass(frozen=True, order=True)
-class Interval:
-    """A closed integer interval carrying an id and a color."""
+class _Record:
+    """A record that keeps derived state in its __dict__: ==, hash and repr
+    read only the fields in _fields, and nothing is assigned once it is built."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Interval(NamedTuple):
+    """A closed integer interval carrying an id and a color; ordered as the
+    tuple (id, left, right, color)."""
 
     id: int
     left: int
@@ -60,11 +92,11 @@ def intersects(a: Interval, b: Interval) -> bool:
     return max(a.left, b.left) <= min(a.right, b.right)
 
 
-@dataclass(frozen=True, init=False)
-class ColoredIntervalInstance:
+class ColoredIntervalInstance(_Record):
     """An immutable instance: k colors and n intervals as id-indexed columns.
     interval(id) builds one Interval view; intervals builds them all once."""
 
+    _fields = ("k", "lefts", "rights", "colors", "proper_flag")
     k: int
     lefts: tuple[int, ...]
     rights: tuple[int, ...]
@@ -190,8 +222,7 @@ def _find_strict_containment(lefts, rights) -> tuple[int, int] | None:
     return None
 
 
-@dataclass(frozen=True)
-class SortedView:
+class SortedView(NamedTuple):
     """Instance intervals in (right asc, left asc, id asc) order plus the prev table.
 
     ``order[p-1]`` is the interval id at 1-based sorted position p and
@@ -280,17 +311,25 @@ def edge_count(inst: ColoredIntervalInstance, view: SortedView) -> int:
     return (sum(cuts) - sum(view.prev) - inst.n) // 2
 
 
-@dataclass(frozen=True)
-class SolutionSet:
-    """A candidate solution: kind, member ids, and the per-color histogram of the members."""
-
+class _SolutionFields(NamedTuple):
     kind: str
     ids: frozenset[int]
     per_color_counts: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.kind not in SOLUTION_KINDS:
-            raise ValueError(f"kind must be one of {SOLUTION_KINDS}, got {self.kind!r}")
+
+class SolutionSet(_SolutionFields):
+    """A candidate solution: kind, member ids, and the per-color histogram of the members."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind, ids, per_color_counts):
+        if kind not in SOLUTION_KINDS:
+            raise ValueError(f"kind must be one of {SOLUTION_KINDS}, got {kind!r}")
+        return super().__new__(cls, kind, ids, per_color_counts)
+
+    @classmethod
+    def _make(cls, iterable) -> "SolutionSet":
+        return cls(*iterable)  # so that _replace checks the kind too
 
     @property
     def distinct_colors(self) -> int:
@@ -328,8 +367,7 @@ def verified_solution(
     return sol
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of verify_solution.  distinct_colors is set for MCIS verdicts."""
 
     valid: bool
@@ -521,7 +559,7 @@ def serialize_solution(sol: SolutionSet, f: int) -> str:
 
 
 def parse_assignment(text: str) -> dict[int, bool]:
-    """Parse 'x<i>=0|1' lines into a variable index -> bool map."""
+    """Parse 'x<i>=0|1' lines, i >= 1, into a variable index -> bool map."""
     out: dict[int, bool] = {}
     for no, line in _content_lines(text):
         if "=" not in line or not line.startswith("x"):
@@ -531,6 +569,8 @@ def parse_assignment(text: str) -> dict[int, bool]:
             var = int(name[1:])
         except ValueError:
             raise FormatError("variable index must be an integer", no) from None
+        if var < 1:
+            raise FormatError("variable index must be >= 1", no)
         if value not in ("0", "1"):
             raise FormatError("assignment value must be 0 or 1", no)
         if var in out:

@@ -7,9 +7,9 @@ distinct BudgetError instead of a wrong or slow answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import comb
+from typing import NamedTuple
 
 from .cnf import CnfFormula, evaluate
 from .model import (
@@ -25,8 +25,7 @@ class BudgetError(GuardError):
     """The oracle's enumeration budget would be exceeded."""
 
 
-@dataclass(frozen=True)
-class OracleBudget:
+class OracleBudget(NamedTuple):
     max_subsets: int = 1 << 24
     max_assignments: int = 1 << 20
 

@@ -34,14 +34,15 @@ formula match the instance, so mismatched files fail with ValueError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .cnf import CnfFormula
 from .model import (
     ColoredIntervalInstance,
     FormatError,
     SolutionSet,
+    _Record,
     edge_count,
     verified_solution,
     verify_solution,
@@ -56,8 +57,7 @@ TRIANGLE_COORDS = ((0, 1, 2), (4, 5, 6))
 SINGLETON_COORDS = ((0,), (4,))
 
 
-@dataclass(frozen=True)
-class OccurrenceRole:
+class OccurrenceRole(NamedTuple):
     """Independent-set reduction: the interval stands for one literal occurrence."""
 
     variable: int
@@ -65,16 +65,14 @@ class OccurrenceRole:
     positive: bool
 
 
-@dataclass(frozen=True)
-class HubRole:
+class HubRole(NamedTuple):
     """Dominating-set reduction: a variable-gadget vertex (t1, t2, f1, f2, h_t, h_f)."""
 
     variable: int
     name: str
 
 
-@dataclass(frozen=True)
-class ClauseRole:
+class ClauseRole(NamedTuple):
     """Dominating-set reduction: a clause-clique vertex; slot says whether this
     is the variable's first or second occurrence of that polarity."""
 
@@ -84,8 +82,7 @@ class ClauseRole:
     slot: int
 
 
-@dataclass(frozen=True)
-class VariableGadget:
+class VariableGadget(NamedTuple):
     """Ids of the ten intervals tied to one variable in the domset reduction."""
 
     t1: int
@@ -102,15 +99,18 @@ class VariableGadget:
     neg_clauses: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class GadgetMetadata:
+class GadgetMetadata(_Record):
     """The kind and source formula of a reduction.  roles (interval id ->
     role) and variable_gadgets (variable -> VariableGadget) are derived from
     the formula by the reduction's plan on first use."""
 
+    _fields = ("kind", "num_vars", "clauses")
     kind: str  # "indset" | "domset"
     num_vars: int
     clauses: tuple[tuple[int, ...], ...]
+
+    def __init__(self, kind: str, num_vars: int, clauses: tuple[tuple[int, ...], ...]):
+        vars(self).update(kind=kind, num_vars=num_vars, clauses=clauses)
 
     @cached_property
     def formula(self) -> CnfFormula:

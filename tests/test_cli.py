@@ -411,6 +411,20 @@ def test_metadata_in_an_earlier_format_exits_one(tmp_path, capsys):
     assert err.startswith("error: metadata: unknown key")
 
 
+def test_encode_refuses_a_variable_index_below_one(tmp_path, capsys):
+    cnf = tmp_path / "phi.cnf"
+    cnf.write_text(DIMACS)
+    red, meta, asg = tmp_path / "red.txt", tmp_path / "meta.json", tmp_path / "asg.txt"
+    assert run(["reduce", "indset", "--cnf", str(cnf), "--out", str(red), "--meta", str(meta)],
+               capsys)[0] == 0
+    argv = ["encode", "--instance", str(red), "--meta", str(meta), "--assignment", str(asg)]
+    asg.write_text("x2=1\n")
+    assert run(argv, capsys)[0] == 0
+    for text, no in (("x2=1\nx0=1\n", 2), ("x-1=1\nx2=1\n", 1)):
+        asg.write_text(text)
+        assert run(argv, capsys) == (1, "", f"error: line {no}: variable index must be >= 1\n")
+
+
 def test_huge_swap_radius_is_refused_quickly(inst_file, capsys):
     start = perf_counter()
     code, _, err = run(

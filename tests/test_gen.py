@@ -114,6 +114,13 @@ def test_gen_spec_takes_f_target_zero_on_uniform_random():
     assert generate(spec) == generate(GenSpec(n=6, k=2, seed=0))
 
 
+def test_gen_spec_replace_checks_like_the_constructor():
+    spec = GenSpec(n=6, k=2, seed=0)
+    assert spec._replace(seed=3) == GenSpec(n=6, k=2, seed=3)
+    with pytest.raises(ValueError, match="f_target applies only to uniform-random"):
+        spec._replace(model="proper-unit", f_target=1)
+
+
 def test_generate_rejects_unknown_model():
     with pytest.raises(ValueError):
         generate(GenSpec(n=3, k=1, seed=0, model="bogus"))

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 from hypothesis import given
 
@@ -45,7 +43,8 @@ def test_instance_keeps_the_index_it_builds(inst):
     assert inst == fresh
     assert hash(inst) == hash(fresh)
     assert repr(inst) == repr(fresh)
-    assert dataclasses.fields(inst) == dataclasses.fields(fresh)
+    fields = ("k", "lefts", "rights", "colors", "proper_flag")
+    assert inst._fields == fresh._fields == fields
 
 
 def _ids(solve, inst):

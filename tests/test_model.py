@@ -402,6 +402,8 @@ def test_parse_solution_error_messages_and_lines(text: str, line: int | None, me
         ("y1=0\n", 1, "expected 'x<i>=0|1'"),
         ("x1=1\nx2\n", 2, "expected 'x<i>=0|1'"),
         ("xa=1\n", 1, "variable index must be an integer"),
+        ("x1=1\nx0=1\n", 2, "variable index must be >= 1"),
+        ("x-1=0\n", 1, "variable index must be >= 1"),
         ("x1=2\n", 1, "assignment value must be 0 or 1"),
         ("x1=1\n# again\nx1=0\n", 3, "variable x1 assigned twice"),
     ],
@@ -422,6 +424,15 @@ def test_verify_rejects_counts_that_do_not_match_the_ids():
     inst = build_instance(2, [(0, 2, 1), (4, 5, 2)])
     sol = SolutionSet("BIS", frozenset({0}), (0, 1))
     assert verify_solution(inst, sol, 1) == Verdict(False, "per_color_counts does not match the ids")
+
+
+def test_records_are_tuples_and_replace_checks_like_the_constructor():
+    assert Interval(0, 1, 3, 2) == (0, 1, 3, 2)
+    assert build_instance(1, [(0, 1, 1)]).view == ((0,), (0,), (0,))
+    sol = SolutionSet("BIS", frozenset({0}), (1,))
+    assert sol._replace(kind="BDS") == SolutionSet("BDS", frozenset({0}), (1,))
+    with pytest.raises(ValueError, match="kind must be one of"):
+        sol._replace(kind="MIS")
 
 
 def test_assignment_round_trip():

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import replace
 from random import Random
 
 import pytest
@@ -289,7 +288,9 @@ def test_bridges_reject_metadata_that_does_not_match_the_instance():
         encode_domset_solution(inst_d, other_d, {1: True})
     with pytest.raises(ValueError, match="roles"):
         encode_indset_solution(
-            inst_i, replace(meta_i, clauses=meta_i.clauses + ((1, 2),)), {1: True, 2: True}
+            inst_i,
+            GadgetMetadata(meta_i.kind, meta_i.num_vars, meta_i.clauses + ((1, 2),)),
+            {1: True, 2: True},
         )
     # same counts as the instance, but a formula the reduction does not take
     not_tptn = GadgetMetadata(kind="domset", num_vars=2, clauses=((1, 2), (1, 2), (1, 2), (1, 2)))
