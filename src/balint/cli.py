@@ -15,7 +15,6 @@ import sys
 from contextlib import ExitStack
 from time import perf_counter
 
-from . import bench as bench_mod
 from .bds import solve_fbds_brute
 from .cnf import parse_dimacs
 from .fbis_dp import max_f_with_witness, solve_fbis_dp
@@ -231,6 +230,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from . import bench as bench_mod  # here, so other commands load no statistics or csv
     report = {"command": "bench", "suite": args.suite}
     with ExitStack() as files:
         out = sys.stdout

@@ -8,7 +8,8 @@ line per interval.  ``#`` starts a comment.  Solution files carry a
 
 An instance is three columns, ``lefts``, ``rights`` and ``colors``: interval
 i is (lefts[i], rights[i], colors[i]) and its id is its position.  Parsing
-fills them and every index reads them; Interval objects are only views.
+fills them (canonical text in one json pass, other text line by line) and
+every index reads them; Interval objects are only views.
 
 Records are NamedTuples (equal to plain tuples of their fields; _replace
 makes a changed copy), or, when they keep derived state like the instance,
@@ -17,14 +18,15 @@ _Records.  So `import balint` loads neither dataclasses nor inspect.
 Every solver reads one index per instance: ``inst.view``, the sorted view with
 its prev table, and ``inst.masks``, the closed-neighborhood bitmasks.  Each is
 built on first use and then kept as long as the instance lives.  The masks
-take about n^2/8 bytes, so about 32 MB at n = 16384.
+come from the prev table, so an instance is sorted once; they take about
+n^2/8 bytes, so about 32 MB at n = 16384.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import cached_property
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from operator import eq, le, or_
 from typing import NamedTuple
 
@@ -277,38 +279,32 @@ def greedy_independent(view: SortedView) -> list[int]:
     return chosen
 
 
-def _left_cuts(inst: ColoredIntervalInstance, view: SortedView) -> tuple[list[int], list[int]]:
-    """Ids in left-endpoint order, and for each position of view.order the
-    number of intervals whose left endpoint is at most that interval's right."""
-    by_left = sorted(range(inst.n), key=inst.lefts.__getitem__)
-    lefts = sorted(inst.lefts)
-    cuts = list(map(bisect_right, repeat(lefts), map(inst.rights.__getitem__, view.order)))
-    return by_left, cuts
-
-
 def neighborhood_masks(inst: ColoredIntervalInstance, view: SortedView) -> tuple[int, ...]:
     """Closed-neighborhood bitmasks by id: bit b of masks[a] is set iff a == b
     or intervals a and b intersect.
 
-    N[a] = {b : left_b <= right_a} minus {b : right_b < left_a}.  The first set
-    is a prefix of the left-endpoint order; the second is the prefix of
-    view.order that the prev table cuts off, and lies inside the first
-    (right_b < left_a <= right_a).  So N[a] is the XOR of two prefix-ORs.
+    With prev_q the prev entry at 1-based sorted position q, positions p and q
+    intersect iff prev_q < p and prev_p < q.  So N(p) is {q : prev_q < p}, the
+    OR of the prev buckets 0..p-1, less positions 1..prev_p, a prefix of
+    view.order inside that set: the XOR of two prefix-ORs, with no new sort.
     """
-    by_left, cuts = _left_cuts(inst, view)
-    starts = list(accumulate((1 << id for id in by_left), or_, initial=0))
+    buckets = [0] * inst.n
+    for id, prev in zip(view.order, view.prev):
+        buckets[prev] |= 1 << id
+    starts = list(accumulate(buckets, or_))
+    del buckets  # about as large as a prefix array: free it before the next
     ends = list(accumulate((1 << id for id in view.order), or_, initial=0))
     masks = [0] * inst.n
-    for id, cut, prev in zip(view.order, cuts, view.prev):
-        masks[id] = starts[cut] ^ ends[prev]
+    for id, start, prev in zip(view.order, starts, view.prev):
+        masks[id] = start ^ ends[prev]
     return tuple(masks)
 
 
 def edge_count(inst: ColoredIntervalInstance, view: SortedView) -> int:
-    """Number of intersecting pairs: the closed-neighborhood sizes of
-    neighborhood_masks, less one each, halved.  O(n log n)."""
-    _, cuts = _left_cuts(inst, view)
-    return (sum(cuts) - sum(view.prev) - inst.n) // 2
+    """Number of intersecting pairs, (n^2 - n - 2 sum(prev)) / 2, in O(n): by
+    neighborhood_masks, position p has #{q : prev_q < p} - prev_p - 1 neighbors,
+    and over all p the first term sums to the sum over q of n - prev_q."""
+    return (inst.n * (inst.n - 1) - 2 * sum(view.prev)) // 2
 
 
 class _SolutionFields(NamedTuple):
@@ -452,66 +448,70 @@ def _content_lines(text: str):
 
 def parse_instance(text: str) -> ColoredIntervalInstance:
     """Parse the instance format; raises FormatError with a line number.
-    Body tokens are counted per line, then fed through one int map without
-    keeping per-line lists; malformed input is re-read line by line."""
-    lines = text.splitlines()
-    if "#" in text:
-        lines = [line.split("#", 1)[0] for line in lines]
-    start = next((r for r, line in enumerate(lines) if line.strip()), None)
-    if start is None:
-        raise FormatError("missing header line")
-    no, tokens = start + 1, lines[start].split()
-    proper = False
-    if tokens[-1] == "proper":
-        proper = True
-        tokens = tokens[:-1]
-    if len(tokens) != 2 or not tokens[0].startswith("n=") or not tokens[1].startswith("k="):
-        raise FormatError("header must be 'n=<n> k=<k>[ proper]'", no)
-    try:
-        n = int(tokens[0][2:])
-        k = int(tokens[1][2:])
-    except ValueError:
-        raise FormatError("header counts must be integers", no) from None
-    if n < 0 or k < 0:
-        raise FormatError("header counts must be non-negative", no)
-    body = lines[start + 1 :]
-    widths = list(map(len, map(str.split, body)))
-    found = len(widths) - widths.count(0)
-    if found != n:
-        raise FormatError(f"header says n={n} but found {found} interval lines", no)
+    Canonical text (serialize_instance's) goes through one json pass: after a
+    header on line 1, n rows of four integers joined by single spaces, each
+    ending in "\n", so deleting digits and signs leaves "   \n" per row.  json
+    refuses "01", "-", "1-2" and empty fields, and its integers are a subset
+    of int()'s.  Other text, and what json refuses, is read line by line."""
+    head, _, body = text.partition("\n")
     values = None
-    if set(widths) <= {0, 4}:
-        try:
-            values = list(map(int, chain.from_iterable(map(str.split, body))))
-        except ValueError:
-            pass
+    # a printable line holds none of str.splitlines' breaks
+    if head.isprintable() and "#" not in head and head.strip():
+        n, k, proper = _parse_header(head, 1)
+        # the newline count bounds n by len(body) before b"   \n" * n is built
+        ascii_rows = body.endswith("\n") and body.count("\n") == n and body.isascii()
+        if ascii_rows and body.encode().translate(None, b"0123456789-") == b"   \n" * n:
+            import json  # here: at module level it would cost every `import balint` 2-6 ms
+            try:
+                values = json.loads("[" + body[:-1].replace(" ", ",").replace("\n", ",") + "]")
+            except ValueError:
+                pass
     if values is None:
-        _raise_at_first_bad_line(body, start + 2)
-    del lines, body  # free the lines before the columns are sliced out
+        k, proper, values = _parse_lines(text)
     inst = ColoredIntervalInstance.__new__(ColoredIntervalInstance)
     try:
-        _store_columns(
-            inst, k, values[0::4], values[1::4], values[2::4], values[3::4], proper
-        )
+        _store_columns(inst, k, values[0::4], values[1::4], values[2::4], values[3::4], proper)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
     return inst
 
 
-def _raise_at_first_bad_line(lines: list[str], first_no: int) -> None:
-    """Raise the error of the first line (numbered from first_no) that is
-    neither blank nor four integer fields; such a line must exist."""
-    for no, line in enumerate(lines, start=first_no):
+def _parse_header(line: str, no: int) -> tuple[int, int, bool]:
+    """(n, k, proper) of a non-blank header line numbered no."""
+    tokens = line.split()
+    proper = tokens[-1] == "proper"
+    if proper:
+        tokens = tokens[:-1]
+    if len(tokens) != 2 or not tokens[0].startswith("n=") or not tokens[1].startswith("k="):
+        raise FormatError("header must be 'n=<n> k=<k>[ proper]'", no)
+    try:
+        n, k = int(tokens[0][2:]), int(tokens[1][2:])
+    except ValueError:
+        raise FormatError("header counts must be integers", no) from None
+    if n < 0 or k < 0:
+        raise FormatError("header counts must be non-negative", no)
+    return n, k, proper
+
+
+def _parse_lines(text: str) -> tuple[int, bool, list[int]]:
+    """(k, proper, fields row after row) of any text, line by line."""
+    lines = list(_content_lines(text))
+    if not lines:
+        raise FormatError("missing header line")
+    no, header = lines[0]
+    n, k, proper = _parse_header(header, no)
+    if len(lines) - 1 != n:
+        raise FormatError(f"header says n={n} but found {len(lines) - 1} interval lines", no)
+    values: list[int] = []
+    for no, line in lines[1:]:
         fields = line.split()
-        if not fields:
-            continue
         if len(fields) != 4:
             raise FormatError("expected '<id> <left> <right> <color>'", no)
         try:
-            list(map(int, fields))
+            values += map(int, fields)
         except ValueError:
             raise FormatError("interval fields must be integers", no) from None
-    raise AssertionError("no malformed interval line")
+    return k, proper, values
 
 
 def serialize_instance(inst: ColoredIntervalInstance) -> str:

@@ -261,14 +261,18 @@ def test_parse_instance_errors(text: str, fragment: str):
 
 # str.splitlines breaks lines at each of these, and str.split treats each as a blank.
 LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028", "\u2029")
-ODD_TOKENS = ("1_0", "+3", "-1", "0", "7", "x", "1.5", "\u0663", "0x1", "_1", "#", "proper", "n=1")
+ODD_TOKENS = (
+    "1_0", "+3", "-1", "0", "7", "x", "1.5", "\u0663", "0x1", "_1", "#", "proper", "n=1",
+    "01", "-0", "--1", "-", "1-2", "9" * 5000,
+)
 
 
 @st.composite
 def mutated_instance_texts(draw) -> str:
     """A small instance text with up to five edits: odd tokens, dropped or
     extra fields, permuted or repeated ids, swapped endpoints, blank and
-    comment lines, a changed header, and any mix of line breaks."""
+    comment lines, a changed header, and either the canonical spelling (single
+    spaces, "\n" after every line) or any mix of separators and line breaks."""
     n = draw(st.integers(0, 5))
     k = draw(st.integers(1, 3))
     lines = [[f"n={n}", f"k={k}"] + (["proper"] if draw(st.booleans()) else [])]
@@ -308,8 +312,11 @@ def mutated_instance_texts(draw) -> str:
                 draw(st.sampled_from((f"n={n}", f"n={n + 1}", f"n={n - 1}", "n=x", "k=1"))),
                 draw(st.sampled_from((f"k={k}", "k=0", "k=-1", "k=1_0"))),
             ]
-    seps = draw(st.lists(st.sampled_from((" ", "\t", "  ", "\xa0")), min_size=1, max_size=3))
-    breaks = draw(st.lists(st.sampled_from(LINE_BREAKS), min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        seps, breaks = [" "], ["\n"] * len(lines)
+    else:
+        seps = draw(st.lists(st.sampled_from((" ", "\t", "  ", "\xa0")), min_size=1, max_size=3))
+        breaks = draw(st.lists(st.sampled_from(LINE_BREAKS), min_size=len(lines), max_size=len(lines)))
     return "".join(
         seps[r % len(seps)].join(row) + brk for r, (row, brk) in enumerate(zip(lines, breaks))
     )
@@ -323,9 +330,15 @@ def mutated_instance_texts(draw) -> str:
 @example(text="n=2 k=2 proper\r\n1 1_0 +12 2\x0c0 3 5 1\u2028")
 @example(text="# c\n\nn=1 k=1 # header\n 0  0 \t 2 1 # tail\n")
 @example(text="n=3 k=1\n2 0 1 1\n0 5 6 1\n2 0 9 1\n")
+@example(text="n=2 k=3\n0 1 2\n1 1 1 2 3\n")  # canonical rows that realign into four columns
+@example(text="n=2 k=1\n0 0 1 1\n1 2 3 1")  # no final newline
+@example(text="n=2 k=1\n0 0 1 1\n1 2 3 1 \n")  # a trailing space
+@example(text="n=2 k=1\r\n0 0 1 1\r\n1 2 3 1\r\n")
+@example(text="n=2 k=1\n0 0 1 1\n1 2 3 1\n77")  # digits after the last newline
 def test_parse_instance_matches_reference_parser(text: str):
-    """The columnar parser returns the reference parser's instance, or raises
-    its FormatError with the same message and line."""
+    """parse_instance, on its canonical path and on its line-by-line path,
+    returns the reference parser's instance, or raises its FormatError with
+    the same message and line."""
     try:
         k, intervals, proper = reference_parse_instance(text)
     except FormatError as exc:
