@@ -36,15 +36,6 @@ from .model import (
     solution_from_ids,
     verify_solution,
 )
-from .oracle import (
-    BudgetError,
-    OracleBudget,
-    oracle_fbds,
-    oracle_fbis,
-    oracle_maximal_is,
-    oracle_mcis,
-    oracle_sat,
-)
 from .reductions import (
     GadgetMetadata,
     canonicalize_bds,
@@ -113,3 +104,17 @@ __all__ = [
     "solve_fbis_vc",
     "verify_solution",
 ]
+
+_ORACLE_NAMES = {
+    "BudgetError", "OracleBudget",
+    "oracle_fbds", "oracle_fbis", "oracle_maximal_is", "oracle_mcis", "oracle_sat",
+}
+
+
+def __getattr__(name: str):
+    """Load balint.oracle, the naive reference solvers, on first use (PEP 562)."""
+    if name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+
+    return getattr(oracle, name)

@@ -35,7 +35,6 @@ from .model import (
     verified_solution,
     verify_solution,
 )
-from .oracle import OracleBudget, oracle_fbds, oracle_fbis, oracle_mcis, oracle_sat
 from .reductions import (
     GadgetMetadata,
     canonicalize_bds,
@@ -259,6 +258,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    # here, so that no other command loads the oracles
+    from .oracle import OracleBudget, oracle_fbds, oracle_fbis, oracle_mcis, oracle_sat
     budget = OracleBudget(max_subsets=args.max_subsets, max_assignments=args.max_assignments)
     if args.problem == "sat":
         phi = parse_dimacs(_read(args.input))

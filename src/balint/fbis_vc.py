@@ -7,9 +7,10 @@ independent S inside the cover, so scanning those at most 2^tau candidates
 and keeping one with at least f intervals of every color decides the problem.
 The scan is a branch-and-bound walk: below a node it can only add the cover
 vertices not yet decided and only clear V_ind bits, so a node is cut once some
-color's count plus its undecided cover vertices falls below f.  O(2^tau n) is
-the worst case.  Preferable to the vector DP when tau is small; refuses when
-tau > TAU_GUARD.
+color's count plus its undecided cover vertices falls below f.  Each color's
+margin over f sits in a lane of one packed int, so the cut is a single AND.
+O(2^tau n) is the worst case.  Preferable to the vector DP when tau is small;
+refuses when tau > TAU_GUARD.
 """
 
 from __future__ import annotations
@@ -74,33 +75,30 @@ def _walk(
     cover vertex s clears its closed neighborhood and sets its own bit; the
     chosen vertices are pairwise disjoint, so none clears another.
 
-    A node at walk index i is cut when some color's count plus remaining[i],
-    its cover vertices at index >= i, is below f: at a leaf that is the
-    feasibility test, and at f = 0 nothing is cut.  counts is kept at [nodes
-    visited, leaves reached], cut ones included.
+    lanes holds, per color in a width-bit lane, its count in the candidate
+    plus its undecided cover vertices, minus f, plus bias: that slack stays in
+    [-f, n], so no lane borrows.  A node is cut unless lanes has every top bit
+    in guard; at a leaf that is the feasibility test, and at f = 0 nothing is
+    cut.  Excluding s takes one unit from its color's lane, including it one
+    per bit it clears.  counts holds [nodes, leaves] visited, cut ones included.
     """
     cover_ids = decomp.cover
     cover = [(pos, id) for pos, id in enumerate(inst.view.order, start=1) if id in cover_ids]
     tau = len(cover)
-    color_masks = [sum(1 << id for id in ids) for ids in inst.color_class_ids()]
-    remaining = [[0] * inst.k]
-    for _, id in reversed(cover):
-        row = remaining[-1][:]
-        row[inst.colors[id] - 1] += 1
-        remaining.append(row)
-    remaining.reverse()
+    width = (inst.n + f).bit_length() + 1
+    bias = 1 << (width - 1)
+    unit = [1 << width * (color - 1) for color in inst.colors]
+    guard = sum(bias << width * c for c in range(inst.k))
+    lanes = sum((bias + inst.colors.count(c + 1) - f) << width * c for c in range(inst.k))
     masks, prev = inst.masks, inst.view.prev
     nodes = leaves = 0
-    stack = [(0, sum(1 << id for id in decomp.independent), 0)]
+    stack = [(0, sum(1 << id for id in decomp.independent), 0, lanes)]
     while stack:
-        idx, candidate, last = stack.pop()
+        idx, candidate, last, lanes = stack.pop()
         nodes += 1
         if idx == tau:
             leaves += 1
-        if f and any(
-            (candidate & m).bit_count() + r < f
-            for m, r in zip(color_masks, remaining[idx])
-        ):
+        if lanes & guard != guard:
             continue
         if idx == tau:
             counts[:] = nodes, leaves
@@ -108,8 +106,13 @@ def _walk(
             continue
         pos, id = cover[idx]
         if prev[pos - 1] >= last:
-            stack.append((idx + 1, (candidate & ~masks[id]) | (1 << id), pos))
-        stack.append((idx + 1, candidate, last))
+            cleared, kept = candidate & masks[id], lanes
+            while cleared:
+                low = cleared & -cleared
+                kept -= unit[low.bit_length() - 1]
+                cleared ^= low
+            stack.append((idx + 1, (candidate & ~masks[id]) | (1 << id), pos, kept))
+        stack.append((idx + 1, candidate, last, lanes - unit[id]))
     counts[:] = nodes, leaves
 
 
@@ -121,8 +124,8 @@ def solve_fbis_vc(
     Takes the f lowest ids per color from the first leaf that survives the
     walk's cut; the cut drops only subtrees without a feasible leaf, so that
     is the first feasible candidate of the full scan.  O(2^tau n) in the worst
-    case; raises GuardError when tau > TAU_GUARD (use the DP instead).  stats
-    gains tau, candidates_examined (leaves reached), feasible and nodes.
+    case; raises GuardError when tau > TAU_GUARD.  stats gains tau,
+    candidates_examined (leaves reached), feasible and nodes.
     """
     stats = {} if stats is None else stats
     if f < 1:
@@ -133,10 +136,7 @@ def solve_fbis_vc(
         stats.update(feasible=False, nodes=0, reason="color-deficient")
         return None
     if decomp.tau > TAU_GUARD:
-        raise GuardError(
-            f"tau = {decomp.tau} exceeds {TAU_GUARD}; 2^tau enumeration refused "
-            "(the vector DP handles this instance)"
-        )
+        raise GuardError(f"tau = {decomp.tau} exceeds {TAU_GUARD}; 2^tau enumeration refused")
     counts = [0, 0]
     candidate = next(_walk(inst, decomp, f, counts), None)
     nodes, examined = counts

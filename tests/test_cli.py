@@ -449,12 +449,13 @@ def test_failed_verification_exits_one(inst_file, capsys, monkeypatch):
 
 
 def test_unverified_oracle_answer_exits_one(inst_file, capsys, monkeypatch):
-    import balint.cli
+    import balint.oracle
     from balint import solution_from_ids
 
-    # intervals 0 = [0, 2] and 1 = [1, 3] clash
+    # intervals 0 = [0, 2] and 1 = [1, 3] clash; the oracle command imports
+    # its solvers from balint.oracle when it runs
     monkeypatch.setattr(
-        balint.cli, "oracle_fbis", lambda inst, f, budget: solution_from_ids(inst, "BIS", [0, 1])
+        balint.oracle, "oracle_fbis", lambda inst, f, budget: solution_from_ids(inst, "BIS", [0, 1])
     )
     code, out, err = run(["oracle", "--dev", "bis", "--f", "1", inst_file], capsys)
     assert (code, out) == (1, "")

@@ -1,6 +1,7 @@
 """`import balint` stays cheap: it loads no module that costs more than
 balint's own sources, such as dataclasses, inspect or json, and the command
-line loads the bench suite and its statistics and csv only for `balint bench`."""
+line loads the bench suite and its statistics and csv only for `balint bench`.
+Neither loads the naive oracles until one of their names is used."""
 
 from __future__ import annotations
 
@@ -22,3 +23,17 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[False, False, False] [False, False, False, False, False]\n"
+
+
+def test_oracle_loads_on_first_use_only():
+    src = str(Path(balint.__file__).resolve().parent.parent)
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "import balint; first = 'balint.oracle' in sys.modules; import balint.cli; "
+        "print(first, 'balint.oracle' in sys.modules); "
+        "from balint import BudgetError, OracleBudget, oracle_fbis; "
+        "print('balint.oracle' in sys.modules, all(hasattr(balint, m) for m in balint.__all__))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False False\nTrue True\n"

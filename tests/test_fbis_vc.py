@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from random import Random
 
 import pytest
@@ -14,6 +15,8 @@ from balint import (
     minimum_vertex_cover,
     oracle_fbis,
     oracle_maximal_is,
+    random_three_bounded,
+    reduce_indset,
     solve_fbis_dp,
     solve_fbis_vc,
     verify_solution,
@@ -189,3 +192,132 @@ def test_pruned_walk_visits_far_fewer_nodes_than_unpruned_candidates():
     unpruned = sum(1 for _ in enumerate_swap_candidates(inst, decomp))
     assert stats["tau"] == decomp.tau == 16
     assert 1 < stats["nodes"] and 100 * stats["nodes"] < unpruned
+
+
+# sha256 over (seed, f, tau, nodes, candidates_examined, sorted witness ids
+# or None) of the rows below, taken before the walk's cut moved to packed
+# lanes; any change to the walk's order, counters or witnesses shows here
+PINNED_WALK_DIGEST = "b00d76c0d18da383064b82cfa01ddbedb047745ab812aa4c7de410deb334545c"
+
+
+def _walk_rows():
+    for seed in range(200):
+        inst = generate(GenSpec(n=48, k=4, seed=seed, model="proper-unit"))
+        yield seed, inst, len(minimum_vertex_cover(inst).independent) // 4
+    for seed in range(200):
+        rng = Random(seed)
+        inst = generate(GenSpec(n=rng.randint(12, 20), k=rng.randint(1, 4), seed=seed))
+        for f in (1, 2, 3):
+            yield seed, inst, f
+
+
+def test_walk_counters_and_witnesses_match_pinned_digest():
+    digest = hashlib.sha256()
+    for seed, inst, f in _walk_rows():
+        stats: dict = {}
+        sol = solve_fbis_vc(inst, f, stats)
+        row = (seed, f, stats["tau"], stats["nodes"], stats["candidates_examined"],
+               None if sol is None else sorted(sol.ids))
+        digest.update(repr(row).encode())
+    assert digest.hexdigest() == PINNED_WALK_DIGEST
+
+
+def _assert_matches_scan_and_dp(inst: ColoredIntervalInstance, f: int) -> dict:
+    stats = _assert_matches_unpruned_scan(inst, f)
+    assert stats["feasible"] == (solve_fbis_dp(inst, f) is not None)
+    return stats
+
+
+def test_lanes_hold_slack_down_to_minus_f():
+    # f > n: every color's slack starts below zero and the root is cut
+    inst = build_instance(2, [(0, 1, 1), (2, 3, 2), (1, 2, 1)])
+    for f in (4, 7, 20):
+        stats = _assert_matches_scan_and_dp(inst, f)
+        assert stats["feasible"] is False and stats["nodes"] == 1
+
+
+def test_lanes_single_color():
+    rng = Random(11)
+    for seed in range(20):
+        inst = random_instance(rng, 16, 1)
+        for f in (1, 2, 3, 8):
+            _assert_matches_scan_and_dp(inst, f)
+
+
+def test_lanes_wide_int_for_many_colors():
+    # k = 45: disjoint unit intervals, one per color, and every fifth pair
+    # bridged by a longer interval; the DP refuses (f+1)^k here, so the
+    # construction and the unpruned scan are the references
+    k = 45
+    rows = [(3 * i, 3 * i + 1, i + 1) for i in range(k)]
+    rows += [(3 * i + 1, 3 * i + 3, (7 * i) % k + 1) for i in range(0, k - 1, 5)]
+    inst = build_instance(k, rows)
+    assert minimum_vertex_cover(inst).tau == 9
+    assert _assert_matches_unpruned_scan(inst, 1)["feasible"] is True
+    for f in (2, 3):
+        assert _assert_matches_unpruned_scan(inst, f)["feasible"] is False
+    # no bridge has color k - 1 or k, so stretching color k's one interval
+    # onto color k - 1's leaves no feasible set
+    crowded = build_instance(k, [*rows[: k - 1], (3 * k - 5, 3 * k - 2, k), *rows[k:]])
+    stats = _assert_matches_unpruned_scan(crowded, 1)
+    assert stats["feasible"] is False and stats["nodes"] > 1
+
+
+def test_lanes_with_empty_cover():
+    inst = build_instance(3, [(0, 1, 1), (2, 3, 2), (4, 5, 3), (6, 7, 1)])
+    assert minimum_vertex_cover(inst).tau == 0
+    for f, feasible in ((1, True), (2, False)):
+        stats = _assert_matches_scan_and_dp(inst, f)
+        assert stats["feasible"] is feasible and stats["nodes"] == 1
+
+
+def test_lanes_color_without_cover_vertex():
+    # color 3 only labels an isolated interval, so its lane moves only when
+    # nothing clears it
+    inst = build_instance(3, [(0, 4, 1), (1, 5, 2), (2, 6, 1), (3, 7, 2), (9, 10, 3)])
+    decomp = minimum_vertex_cover(inst)
+    assert all(inst.colors[id] != 3 for id in decomp.cover)
+    for f in (1, 2):
+        _assert_matches_scan_and_dp(inst, f)
+    rng = Random(5)
+    for seed in range(20):
+        base = random_instance(rng, 12, 2)
+        rows = [(iv.left, iv.right, iv.color) for iv in base.intervals]
+        rows.append((1000, 1001, 3))
+        inst = build_instance(3, rows)
+        for f in (1, 2):
+            _assert_matches_scan_and_dp(inst, f)
+
+
+def _independent_cover_subsets(inst: ColoredIntervalInstance, decomp) -> set[frozenset[int]]:
+    cover = sorted(decomp.cover)
+    out = set()
+    for bits in range(1 << len(cover)):
+        chosen = [id for j, id in enumerate(cover) if bits >> j & 1]
+        if independent_pairs_ok(inst, chosen):
+            cleared = {j for id in chosen for j in range(inst.n) if inst.masks[id] >> j & 1}
+            out.add(frozenset((decomp.independent | set(chosen)) - cleared) | frozenset(chosen))
+    return out
+
+
+def test_swap_candidates_at_f_zero_cut_nothing():
+    rng = Random(3)
+    for seed in range(40):
+        inst = random_instance(rng, rng.randint(6, 12), rng.randint(1, 3))
+        decomp = minimum_vertex_cover(inst)
+        got = list(enumerate_swap_candidates(inst, decomp))
+        expected = _independent_cover_subsets(inst, decomp)
+        assert len(got) == len(set(got)) == len(expected)
+        assert set(got) == expected
+
+
+def test_tau_refusal_names_only_tau_and_guard():
+    # the reduction of a 200-variable formula: the DP refuses (f+1)^k = 2^99
+    # as well, so the message must not point at it
+    inst, _ = reduce_indset(random_three_bounded(200, Random(0)))
+    assert (inst.n, inst.k, minimum_vertex_cover(inst).tau) == (248, 99, 41)
+    with pytest.raises(GuardError) as refused:
+        solve_fbis_vc(inst, 1)
+    assert str(refused.value) == "tau = 41 exceeds 30; 2^tau enumeration refused"
+    with pytest.raises(GuardError):
+        solve_fbis_dp(inst, 1)
