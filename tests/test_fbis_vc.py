@@ -296,7 +296,7 @@ def _independent_cover_subsets(inst: ColoredIntervalInstance, decomp) -> set[fro
         chosen = [id for j, id in enumerate(cover) if bits >> j & 1]
         if independent_pairs_ok(inst, chosen):
             cleared = {j for id in chosen for j in range(inst.n) if inst.masks[id] >> j & 1}
-            out.add(frozenset((decomp.independent | set(chosen)) - cleared) | frozenset(chosen))
+            out.add(frozenset(decomp.independent - cleared) | frozenset(chosen))
     return out
 
 
