@@ -10,12 +10,7 @@ from .fbis_vc import (
     solve_fbis_vc,
 )
 from .gen import GenSpec, generate, random_three_bounded, random_tptn_uniform3
-from .mcis import (
-    LocalSearchConfig,
-    greedy_mcis,
-    is_b_locally_optimal,
-    local_search_mcis,
-)
+from .mcis import LocalSearchConfig, greedy_mcis, local_search_mcis
 from .model import (
     ColoredIntervalInstance,
     FormatError,
@@ -106,7 +101,7 @@ __all__ = [
 ]
 
 _ORACLE_NAMES = {
-    "BudgetError", "OracleBudget",
+    "BudgetError", "OracleBudget", "is_b_locally_optimal",
     "oracle_fbds", "oracle_fbis", "oracle_maximal_is", "oracle_mcis", "oracle_sat",
 }
 

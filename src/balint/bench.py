@@ -8,41 +8,25 @@ times are medians of `reps` runs of the solve call alone (parsing, generation
 and the optimum excluded), each on a fresh copy of the instance, so that every
 run builds the instance's sorted view and masks anew.  Rows are appended and
 flushed as they complete.  `out` is a text stream, or a function that opens
-one; a suite calls it only after its GenSpecs, reps >= 1 and (for quality)
-the local-search guard or (for dp-scaling) f >= 1 and the vector guard
-have passed their checks, so a refused run opens nothing.
+one; a suite opens it and writes the header when its first row is finished
+(or when it ends with none), so a run refused before then, by its GenSpecs,
+by reps < 1 or by a solver's own guard, opens nothing.  The solvers' guards
+set the reach: the quality suite's optimum needs 2^k <= 2^26 (k <= 26) and
+its local search n^(2b) <= 10^9; dp-scaling needs f >= 1 and (f+1)^k <= 2^26.
 """
 
 from __future__ import annotations
 
 import csv
+from itertools import chain, islice
 from statistics import median
 from time import perf_counter
-from typing import Callable, NamedTuple, TextIO
+from typing import Callable, Iterator, NamedTuple, TextIO
 
-from .fbis_dp import _check_params, max_colors, solve_fbis_dp
+from .fbis_dp import max_colors, solve_fbis_dp
 from .gen import GenSpec, generate
-from .mcis import (
-    NEIGHBOR_BUDGET,
-    LocalSearchConfig,
-    _guard_budget,
-    greedy_mcis,
-    local_search_mcis,
-)
+from .mcis import LocalSearchConfig, greedy_mcis, local_search_mcis
 from .model import ColoredIntervalInstance
-
-BENCH_FIELDS = (
-    "instance",
-    "n",
-    "k",
-    "param",
-    "method",
-    "result",
-    "optimum",
-    "ratio",
-    "wall_time_s",
-    "peak_state",
-)
 
 DP_SCALING_SIZES = tuple(2**e for e in range(10, 18))
 
@@ -60,35 +44,32 @@ class BenchRow(NamedTuple):
     peak_state: str = ""
 
     def as_csv(self) -> list[str]:
-        return [
-            self.instance,
-            str(self.n),
-            str(self.k),
-            self.param,
-            self.method,
-            self.result,
-            self.optimum,
-            self.ratio,
-            f"{self.wall_time_s:.6f}",
-            self.peak_state,
-        ]
+        return list(map(str, self._replace(wall_time_s=f"{self.wall_time_s:.6f}")))
 
 
-class _RowSink:
-    def __init__(self, out: TextIO | Callable[[], TextIO] | None):
-        self.rows: list[BenchRow] = []
-        self.writer = None
-        self.out = out = out() if callable(out) else out
-        if out is not None:
-            self.writer = csv.writer(out)
-            self.writer.writerow(BENCH_FIELDS)
+BENCH_FIELDS = BenchRow._fields
+
+
+def _collect(
+    rows: Iterator[BenchRow], out: TextIO | Callable[[], TextIO] | None
+) -> list[BenchRow]:
+    """The rows, each written to out and flushed as it completes.  out is
+    opened and given the header only once the first row is finished, or once
+    rows ends without one, so a suite refused before then opens nothing."""
+    first = list(islice(rows, 1))
+    writer = None
+    if out is not None:
+        out = out() if callable(out) else out
+        writer = csv.writer(out)
+        writer.writerow(BENCH_FIELDS)
+        out.flush()
+    collected = []
+    for row in chain(first, rows):
+        collected.append(row)
+        if writer is not None:
+            writer.writerow(row.as_csv())
             out.flush()
-
-    def add(self, row: BenchRow) -> None:
-        self.rows.append(row)
-        if self.writer is not None:
-            self.writer.writerow(row.as_csv())
-            self.out.flush()
+    return collected
 
 
 def _check_reps(reps: int) -> None:
@@ -152,16 +133,9 @@ def run_quality_suite(
 ) -> list[BenchRow]:
     """Color-count quality of greedy and b-swap local search against the exact
     optimum on uniform-random instances."""
-    # the specs check n and k, and the local-search guard n and b, before the
-    # sink writes the CSV header
     specs = [GenSpec(n=n, k=k, seed=seed + i, model="uniform-random") for i in range(count)]
-    _guard_budget(n, b, NEIGHBOR_BUDGET)
     _check_reps(reps)
-    sink = _RowSink(out)
-    for spec in specs:
-        for row in _quality_task(spec, b, reps):
-            sink.add(row)
-    return sink.rows
+    return _collect((row for spec in specs for row in _quality_task(spec, b, reps)), out)
 
 
 def quality_summary(rows: list[BenchRow]) -> dict[str, float]:
@@ -187,27 +161,23 @@ def run_dp_scaling_suite(
     times and the median reported.  Time should grow about linearly in n."""
     specs = [GenSpec(n=n, k=k, seed=seed + n, model="uniform-random") for n in sizes]
     _check_reps(reps)
-    if f < 1:
-        raise ValueError("f must be >= 1")
-    _check_params(k, f)
-    sink = _RowSink(out)
-    for spec in specs:
-        inst = generate(spec)
-        stats: dict = {}
-        sol, seconds = _timed(lambda copy: solve_fbis_dp(copy, f, stats), inst, reps)
-        sink.add(
-            BenchRow(
-                instance=f"uniform-n{spec.n}-k{k}-s{spec.seed}",
-                n=inst.n,
-                k=inst.k,
-                param=f"f={f}",
-                method="dp",
-                result="feasible" if sol is not None else "infeasible",
-                wall_time_s=seconds,
-                peak_state=str(stats.get("peak_states", "")),
-            )
-        )
-    return sink.rows
+    return _collect((_dp_scaling_row(spec, f, reps) for spec in specs), out)
+
+
+def _dp_scaling_row(spec: GenSpec, f: int, reps: int) -> BenchRow:
+    inst = generate(spec)
+    stats: dict = {}
+    sol, seconds = _timed(lambda copy: solve_fbis_dp(copy, f, stats), inst, reps)
+    return BenchRow(
+        instance=f"uniform-n{spec.n}-k{spec.k}-s{spec.seed}",
+        n=inst.n,
+        k=inst.k,
+        param=f"f={f}",
+        method="dp",
+        result="feasible" if sol is not None else "infeasible",
+        wall_time_s=seconds,
+        peak_state=str(stats.get("peak_states", "")),
+    )
 
 
 def doubling_ratios(rows: list[BenchRow]) -> list[float]:

@@ -104,6 +104,8 @@ def _emit(args, payload: dict, text: str | None, noun: str, infeasible_message: 
 
 
 def _cmd_solve(args) -> int:
+    if args.problem == "bis" and args.maximize and args.method != "dp":
+        raise _UsageError(f"--maximize uses the vector DP, not --method {args.method}")
     inst = parse_instance(_read(args.instance))
     payload: dict = {"command": "solve", "problem": args.problem, "n": inst.n, "k": inst.k}
     if args.problem != "bds":
@@ -233,7 +235,7 @@ def _cmd_bench(args) -> int:
     report = {"command": "bench", "suite": args.suite}
     with ExitStack() as files:
         out = sys.stdout
-        if args.out:  # opened by the suite once its GenSpecs pass their checks
+        if args.out:  # opened by the suite at its first row, so a refusal opens nothing
             out = lambda: files.enter_context(open(args.out, "w", newline="", encoding="utf-8"))
         if args.suite == "quality":
             rows = bench_mod.run_quality_suite(

@@ -164,8 +164,6 @@ def random_three_bounded(
             if not budget[v]:
                 del available[bisect_left(available, v)]
         clauses.append(clause)
-    if not clauses:
-        raise ValueError("could not form any clause")
     return CnfFormula.build(num_vars, clauses)
 
 

@@ -3,8 +3,8 @@
 greedy_mcis scans by right endpoint and keeps an interval when its color slot
 is still free and it clears the frontier of the last kept interval; it always
 reaches at least half the optimum color count.  local_search_mcis refines the
-greedy set with first-improvement b-swaps.  is_b_locally_optimal is the naive
-re-check used by the tests.
+greedy set with first-improvement b-swaps; oracle.is_b_locally_optimal is the
+naive re-check used by the tests.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .model import (
     GuardError,
     SolutionSet,
     SortedView,
-    intersects,
     verified_solution,
 )
 
@@ -144,38 +143,3 @@ def local_search_mcis(
     sol = verified_solution(inst, "MCIS", current, 1)
     stats.update(colors=sol.distinct_colors, rounds=rounds, neighbors_evaluated=counter[0])
     return sol
-
-
-def is_b_locally_optimal(
-    inst: ColoredIntervalInstance,
-    sol: SolutionSet,
-    b: int,
-    budget: int = NEIGHBOR_BUDGET,
-) -> bool:
-    """Naive check that no neighbor within b removals and b additions has more colors.
-
-    Enumerates every removal subset and every outside addition subset up to
-    size b and tests independence pairwise; deliberately unshared with the
-    solver's pruned search.
-    """
-    _guard_budget(inst.n, b, budget)
-    members = sorted(sol.ids)
-    outside = [id for id in range(inst.n) if id not in sol.ids]
-    base_colors = len({inst.interval(id).color for id in members})
-    for removals in range(min(b, len(members)) + 1):
-        for removed in combinations(members, removals):
-            base = [id for id in members if id not in removed]
-            for additions in range(1, b + 1):
-                for added in combinations(outside, additions):
-                    candidate = base + list(added)
-                    colors = {inst.interval(id).color for id in candidate}
-                    if len(colors) <= base_colors:
-                        continue
-                    ivs = [inst.interval(id) for id in candidate]
-                    if any(
-                        intersects(a, c)
-                        for a, c in combinations(ivs, 2)
-                    ):
-                        continue
-                    return False
-    return True

@@ -7,7 +7,7 @@ distinct BudgetError instead of a wrong or slow answer.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 from math import comb
 from typing import NamedTuple
 
@@ -217,3 +217,37 @@ def oracle_maximal_is(
 
     walk(0, (), 0)
     return sorted(out, key=lambda s: tuple(sorted(s)))
+
+
+def is_b_locally_optimal(
+    inst: ColoredIntervalInstance, sol: SolutionSet, b: int, budget: int = 10**9
+) -> bool:
+    """Naive check that no neighbor within b removals and b additions has more colors.
+
+    Enumerates every removal subset and every outside addition subset up to
+    size b and tests independence pairwise.  Raises BudgetError when
+    n^(2b) exceeds budget.
+    """
+    if b < 1:
+        raise ValueError("b must be >= 1")
+    if inst.n ** (2 * b) > budget:
+        raise BudgetError(
+            f"is_b_locally_optimal: {inst.n}^{2 * b} neighbor evaluations exceeds budget {budget}"
+        )
+    members = sorted(sol.ids)
+    outside = [id for id in range(inst.n) if id not in sol.ids]
+    base_colors = len({inst.interval(id).color for id in members})
+    for removals in range(min(b, len(members)) + 1):
+        for removed in combinations(members, removals):
+            base = [id for id in members if id not in removed]
+            for additions in range(1, b + 1):
+                for added in combinations(outside, additions):
+                    candidate = base + list(added)
+                    colors = {inst.interval(id).color for id in candidate}
+                    if len(colors) <= base_colors:
+                        continue
+                    ivs = [inst.interval(id) for id in candidate]
+                    if any(intersects(a, c) for a, c in combinations(ivs, 2)):
+                        continue
+                    return False
+    return True

@@ -76,6 +76,14 @@ def test_solve_bis_maximize(inst_file, capsys):
     assert payload["ids"] == [0, 2]
 
 
+def test_maximize_with_vc_method_is_a_usage_error(inst_file, capsys):
+    code, out, err = run(
+        ["solve", "bis", "--maximize", "--method", "vc", "--json", inst_file], capsys
+    )
+    assert (code, out) == (64, "")
+    assert err == "usage error: --maximize uses the vector DP, not --method vc\n"
+
+
 def test_solve_reads_stdin(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(INSTANCE))
     code, out, _ = run(["solve", "bis", "--f", "1", "-"], capsys)
@@ -306,6 +314,27 @@ def test_local_search_guard_refusal_leaves_out_file_alone(tmp_path, capsys):
         ["--suite", "quality", "--count", "2", "--n", "178", "--reps", "1"],
         "error: n^(2b) = 1003875856 neighbor evaluations exceeds budget 1000000000\n",
     )
+
+
+def test_optimum_guard_refusal_leaves_out_file_alone(tmp_path, capsys):
+    # k = 27 passes the GenSpec check; max_colors' 2^k vector guard refuses it
+    _assert_refusal_leaves_out_alone(
+        tmp_path,
+        capsys,
+        ["--suite", "quality", "--count", "1", "--n", "8", "--k", "27", "--reps", "1"],
+        "error: (f+1)^k = 134217728 vectors exceeds 67108864; "
+        "parameter too large for the vector DP\n",
+    )
+
+
+def test_bench_without_rows_writes_the_header_alone(tmp_path, capsys):
+    out_csv = tmp_path / "rows.csv"
+    code, _, _ = run(
+        ["bench", "--suite", "quality", "--count", "0", "--out", str(out_csv)], capsys
+    )
+    assert code == 0
+    header = b"instance,n,k,param,method,result,optimum,ratio,wall_time_s,peak_state\r\n"
+    assert out_csv.read_bytes() == header
 
 
 @pytest.mark.parametrize(

@@ -74,6 +74,8 @@ def test_instance_validation_rejects_reversed_endpoints():
         ColoredIntervalInstance(
             k=1, intervals=(Interval(0, 5, 2, 1),), proper_flag=False
         )
+    with pytest.raises(ValueError, match="interval 0: left 5 > right 2"):
+        ColoredIntervalInstance.from_columns(1, [5], [2], [1])
 
 
 def test_instance_rejects_duplicate_ids():
@@ -231,6 +233,8 @@ def test_parse_instance_worked_example():
     assert inst.k == 2
     assert inst.interval(1) == Interval(1, 1, 3, 2)
     assert not inst.proper_flag
+    # json refuses the leading zeros, so these canonical-looking rows are read line by line
+    assert parse_instance("n=3 k=2\n0 00 2 1\n1 01 3 2\n2 4 5 2\n") == inst
 
 
 def test_parse_instance_comments_and_proper():
@@ -251,6 +255,9 @@ def test_parse_instance_comments_and_proper():
         ("n=2 k=1\n0 0 2 1\n0 3 4 1\n", "duplicate interval id"),
         ("n=2 k=1\n1 0 2 1\n2 3 4 1\n", "ids must form 0..1"),
         ("n=2 k=2 proper\n0 0 4 1\n1 1 3 2\n", "strictly contains"),
+        ("n=1 k=1\n0 1-2 3 1\n", "line 2"),  # canonical-looking rows that json refuses
+        ("n=1 k=1\n0 - 2 1\n", "line 2"),
+        ("n=1 k=0\n0 0 2 1\n", "k=0 is only allowed for an empty instance"),
     ],
 )
 def test_parse_instance_errors(text: str, fragment: str):
