@@ -233,6 +233,14 @@ def _cmd_gen(args) -> int:
 def _cmd_bench(args) -> int:
     from . import bench as bench_mod  # here, so other commands load no statistics or csv
     report = {"command": "bench", "suite": args.suite}
+    if args.count < 0:
+        raise _UsageError(f"argument --count: need an integer >= 0, got {args.count}")
+    sizes = bench_mod.DP_SCALING_SIZES
+    try:
+        if args.sizes is not None:
+            sizes = tuple(map(int, args.sizes.split(",")))
+    except ValueError:
+        raise _UsageError(f"argument --sizes: {args.sizes!r} is not a list of integers") from None
     with ExitStack() as files:
         out = sys.stdout
         if args.out:  # opened by the suite at its first row, so a refusal opens nothing
@@ -244,11 +252,6 @@ def _cmd_bench(args) -> int:
             )
             report["mean_ratio"] = bench_mod.quality_summary(rows)
         else:
-            sizes = (
-                tuple(int(s) for s in args.sizes.split(","))
-                if args.sizes
-                else bench_mod.DP_SCALING_SIZES
-            )
             rows = bench_mod.run_dp_scaling_suite(
                 sizes=sizes, k=4 if args.k is None else args.k, f=args.f,
                 seed=args.seed, reps=args.reps, out=out,

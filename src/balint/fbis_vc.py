@@ -9,12 +9,15 @@ The scan is a branch-and-bound walk: below a node it can only add the cover
 vertices not yet decided and only clear V_ind bits, so a node is cut once some
 color's count plus its undecided cover vertices falls below f.  Each color's
 margin over f sits in a lane of one packed int, so the cut is a single AND.
-O(2^tau n) is the worst case.  Preferable to the vector DP when tau is small;
-refuses when tau > TAU_GUARD.
+A candidate is a bitmask over sorted-view positions, and the prev table gives
+the members a cover vertex clears, so no n^2 masks are built.  O(2^tau n) is
+the worst case.  Preferable to the vector DP when tau is small; refuses when
+tau > TAU_GUARD.
 """
 
 from __future__ import annotations
 
+from itertools import pairwise
 from typing import Iterator, NamedTuple
 
 from .model import (
@@ -39,15 +42,8 @@ class VertexCoverDecomposition(NamedTuple):
 
 def minimum_vertex_cover(inst: ColoredIntervalInstance) -> VertexCoverDecomposition:
     """Greedy maximum independent set by right endpoint; cover = complement."""
-    independent = frozenset(greedy_independent(inst.view))
-    return VertexCoverDecomposition(
-        independent=independent, cover=frozenset(range(inst.n)) - independent
-    )
-
-
-def _bits(mask: int) -> list[int]:
-    """Set bit positions of mask, ascending."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    independent = frozenset(inst.view.order[pos - 1] for pos in greedy_independent(inst.view))
+    return VertexCoverDecomposition(independent, frozenset(range(inst.n)) - independent)
 
 
 def enumerate_swap_candidates(
@@ -57,42 +53,42 @@ def enumerate_swap_candidates(
 
     The cover is scanned in right-endpoint order, so a branch may include its
     next vertex only when it clears the frontier of the chosen ones; that
-    prunes exactly the non-independent S.  The empty S (candidate V_ind) comes
-    first.  Every maximal independent set of the instance is yielded.
+    prunes exactly the non-independent S.  The empty S comes first: V_ind,
+    every id outside decomp.cover.  Every maximal independent set is yielded.
     """
-    for candidate in _walk(inst, decomp, 0, [0, 0]):
-        yield frozenset(_bits(candidate))
+    cover = [pos for pos, id in enumerate(inst.view.order, start=1) if id in decomp.cover]
+    yield from _walk(inst, cover, 0, [0, 0])
 
 
 def _walk(
-    inst: ColoredIntervalInstance,
-    decomp: VertexCoverDecomposition,
-    f: int,
-    counts: list[int],
-) -> Iterator[int]:
-    """Candidates with at least f intervals of every color, as bitmasks, in
-    enumerate_swap_candidates order ("exclude" before "include").  Choosing
-    cover vertex s clears its closed neighborhood and sets its own bit; the
-    chosen vertices are pairwise disjoint, so none clears another.
+    inst: ColoredIntervalInstance, cover: list[int], f: int, counts: list[int]
+) -> Iterator[frozenset[int]]:
+    """Candidates with at least f intervals of every color, as id sets, in
+    enumerate_swap_candidates order ("exclude" before "include").  A candidate
+    is a bitmask over view positions (bit p-1 for position p); cover holds the
+    cover's positions ascending, and the root V_ind every other position.
+
+    Choosing cover position p clears its neighbors in the candidate.  Position
+    q meets p iff prev_q < p and prev_p < q.  A candidate is independent, so
+    a member q after another member q' has prev_q >= q'.  So p clears every
+    member at prev_p+1 .. p, and after p at most the first member, iff its
+    prev is < p; the chosen cover positions lie at or below prev_p.
 
     lanes holds, per color in a width-bit lane, its count in the candidate
     plus its undecided cover vertices, minus f, plus bias: that slack stays in
     [-f, n], so no lane borrows.  A node is cut unless lanes has every top bit
     in guard; at a leaf that is the feasibility test, and at f = 0 nothing is
-    cut.  Excluding s takes one unit from its color's lane, including it one
+    cut.  Excluding p takes one unit from its color's lane, including it one
     per bit it clears.  counts holds [nodes, leaves] visited, cut ones included.
     """
-    cover_ids = decomp.cover
-    cover = [(pos, id) for pos, id in enumerate(inst.view.order, start=1) if id in cover_ids]
-    tau = len(cover)
-    width = (inst.n + f).bit_length() + 1
+    n, (order, prev, colors), tau = inst.n, inst.view, len(cover)
+    width = (n + f).bit_length() + 1
     bias = 1 << (width - 1)
-    unit = [1 << width * (color - 1) for color in inst.colors]
+    unit = [1 << width * color for color in colors]
     guard = sum(bias << width * c for c in range(inst.k))
-    lanes = sum((bias + inst.colors.count(c + 1) - f) << width * c for c in range(inst.k))
-    masks, prev = inst.masks, inst.view.prev
+    lanes = sum(unit) + sum((bias - f) << width * c for c in range(inst.k))
     nodes = leaves = 0
-    stack = [(0, sum(1 << id for id in decomp.independent), 0, lanes)]
+    stack = [(0, (1 << n) - 1 - sum(1 << pos - 1 for pos in cover), 0, lanes)]
     while stack:
         idx, candidate, last, lanes = stack.pop()
         nodes += 1
@@ -102,17 +98,23 @@ def _walk(
             continue
         if idx == tau:
             counts[:] = nodes, leaves
-            yield candidate
+            yield frozenset(order[i] for i, bit in enumerate(bin(candidate)[:1:-1]) if bit == "1")
             continue
-        pos, id = cover[idx]
-        if prev[pos - 1] >= last:
-            cleared, kept = candidate & masks[id], lanes
-            while cleared:
-                low = cleared & -cleared
+        pos = cover[idx]
+        start = prev[pos - 1]
+        if start >= last:
+            cleared = candidate & (1 << pos) - (1 << start)
+            later = candidate >> pos
+            first = pos + (later & -later).bit_length()
+            if later and prev[first - 1] < pos:
+                cleared |= 1 << first - 1
+            kept, rest = lanes, cleared
+            while rest:
+                low = rest & -rest
                 kept -= unit[low.bit_length() - 1]
-                cleared ^= low
-            stack.append((idx + 1, (candidate & ~masks[id]) | (1 << id), pos, kept))
-        stack.append((idx + 1, candidate, last, lanes - unit[id]))
+                rest ^= low
+            stack.append((idx + 1, candidate ^ cleared | 1 << pos - 1, pos, kept))
+        stack.append((idx + 1, candidate, last, lanes - unit[pos - 1]))
     counts[:] = nodes, leaves
 
 
@@ -130,22 +132,21 @@ def solve_fbis_vc(
     stats = {} if stats is None else stats
     if f < 1:
         raise ValueError("f must be >= 1")
-    decomp = minimum_vertex_cover(inst)
-    stats.update(tau=decomp.tau, candidates_examined=0)
+    independent = greedy_independent(inst.view)
+    cover = [pos for a, b in pairwise([0, *independent, inst.n + 1]) for pos in range(a + 1, b)]
+    tau = len(cover)
+    stats.update(tau=tau, candidates_examined=0)
     if inst.is_color_deficient():
         stats.update(feasible=False, nodes=0, reason="color-deficient")
         return None
-    if decomp.tau > TAU_GUARD:
-        raise GuardError(f"tau = {decomp.tau} exceeds {TAU_GUARD}; 2^tau enumeration refused")
+    if tau > TAU_GUARD:
+        raise GuardError(f"tau = {tau} exceeds {TAU_GUARD}; 2^tau enumeration refused")
     counts = [0, 0]
-    candidate = next(_walk(inst, decomp, f, counts), None)
-    nodes, examined = counts
-    if candidate is None:
-        stats.update(feasible=False, candidates_examined=examined, nodes=nodes)
+    members = next(_walk(inst, cover, f, counts), None)
+    stats.update(feasible=members is not None, candidates_examined=counts[1], nodes=counts[0])
+    if members is None:
         return None
     picked = []
     for ids in inst.color_class_ids():
-        picked += [id for id in ids if candidate >> id & 1][:f]
-    sol = verified_solution(inst, "BIS", picked, f)
-    stats.update(feasible=True, candidates_examined=examined, nodes=nodes)
-    return sol
+        picked += [id for id in ids if id in members][:f]
+    return verified_solution(inst, "BIS", picked, f)

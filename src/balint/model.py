@@ -15,11 +15,11 @@ Records are NamedTuples (equal to plain tuples of their fields; _replace
 makes a changed copy), or, when they keep derived state like the instance,
 _Records.  So `import balint` loads neither dataclasses nor inspect.
 
-Every solver reads one index per instance: ``inst.view``, the sorted view with
-its prev table, and ``inst.masks``, the closed-neighborhood bitmasks.  Each is
-built on first use and then kept as long as the instance lives.  The masks
-come from the prev table, so an instance is sorted once; they take about
-n^2/8 bytes, so about 32 MB at n = 16384.
+Every solver reads ``inst.view``, the sorted view with its prev table; the
+b-swap and BDS searches also read ``inst.masks``, the closed-neighborhood
+bitmasks.  Each is built on first use and kept as long as the instance lives.
+The masks come from the prev table, so an instance is sorted once; they take
+about n^2/8 bytes, so about 32 MB at n = 16384.
 """
 
 from __future__ import annotations
@@ -264,7 +264,7 @@ def build_sorted_view(inst: ColoredIntervalInstance) -> SortedView:
 
 
 def greedy_independent(view: SortedView) -> list[int]:
-    """Ids of the earliest-right-endpoint greedy independent set, in view order.
+    """1-based view positions of the right-endpoint greedy independent set, ascending.
 
     On an interval graph it is a maximum independent set.  Position p joins
     when the last chosen position q satisfies q <= prev[p-1], i.e. q ends
@@ -272,9 +272,9 @@ def greedy_independent(view: SortedView) -> list[int]:
     """
     chosen: list[int] = []
     last = 0
-    for pos, (id, prev) in enumerate(zip(view.order, view.prev), start=1):
+    for pos, prev in enumerate(view.prev, start=1):
         if prev >= last:
-            chosen.append(id)
+            chosen.append(pos)
             last = pos
     return chosen
 
@@ -414,26 +414,22 @@ def verify_solution(
     counts = _color_counts(inst, sol.ids)
     if counts != sol.per_color_counts:
         return Verdict(False, "per_color_counts does not match the ids")
-    if sol.kind in ("BIS", "MCIS"):
+    if sol.kind not in SOLUTION_KINDS:
+        raise ValueError(f"unknown solution kind {sol.kind!r}")
+    if sol.kind != "BDS":
         clash = _find_intersecting_pair(inst, sol.ids)
         if clash is not None:
             return Verdict(False, f"intervals {clash[0]} and {clash[1]} intersect")
-    if sol.kind == "BIS":
-        if counts != (f,) * inst.k:
-            return Verdict(False, f"color counts {counts} != ({f},)*{inst.k}")
-        return Verdict(True)
     if sol.kind == "MCIS":
         if any(c > 1 for c in counts):
             return Verdict(False, "more than one interval of a color")
         return Verdict(True, distinct_colors=sum(counts))
-    if sol.kind == "BDS":
-        if counts != (f,) * inst.k:
-            return Verdict(False, f"color counts {counts} != ({f},)*{inst.k}")
-        bad = _find_undominated(inst, sol.ids)
-        if bad is not None:
-            return Verdict(False, f"interval {bad} is not dominated")
-        return Verdict(True)
-    raise ValueError(f"unknown solution kind {sol.kind!r}")
+    if counts != (f,) * inst.k:
+        return Verdict(False, f"color counts {counts} != ({f},)*{inst.k}")
+    bad = _find_undominated(inst, sol.ids) if sol.kind == "BDS" else None
+    if bad is not None:
+        return Verdict(False, f"interval {bad} is not dominated")
+    return Verdict(True)
 
 
 # --- text formats ---------------------------------------------------------

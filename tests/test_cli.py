@@ -354,12 +354,28 @@ def test_refused_reps_or_f_leaves_out_file_alone(tmp_path, capsys, suite_args, e
     _assert_refusal_leaves_out_alone(tmp_path, capsys, suite_args, f"error: {error}\n")
 
 
-def _assert_refusal_leaves_out_alone(tmp_path, capsys, suite_args, error):
+@pytest.mark.parametrize(
+    "suite_args, error",
+    [
+        (["--suite", "quality", "--count", "-3"], "--count: need an integer >= 0, got -3"),
+        (["--suite", "dp-scaling", "--sizes", ""], "--sizes: '' is not a list of integers"),
+        (["--suite", "dp-scaling", "--sizes", ","], "--sizes: ',' is not a list of integers"),
+        (["--suite", "dp-scaling", "--sizes", "1,,2"], "--sizes: '1,,2' is not a list of integers"),
+        (["--suite", "dp-scaling", "--sizes", "x"], "--sizes: 'x' is not a list of integers"),
+    ],
+)
+def test_bench_usage_error_leaves_out_file_alone(tmp_path, capsys, suite_args, error):
+    # refused before --out is opened: exit 64, and an existing file keeps its bytes
+    usage = f"usage error: argument {error}\n"
+    _assert_refusal_leaves_out_alone(tmp_path, capsys, suite_args, usage, exit_code=64)
+
+
+def _assert_refusal_leaves_out_alone(tmp_path, capsys, suite_args, error, exit_code=1):
     fresh, existing = tmp_path / "fresh.csv", tmp_path / "existing.csv"
     existing.write_bytes(b"earlier rows\r\n")
     for target in (fresh, existing):
         code, out, err = run(["bench", *suite_args, "--out", str(target)], capsys)
-        assert (code, out, err) == (1, "", error)
+        assert (code, out, err) == (exit_code, "", error)
     assert not fresh.exists()
     assert existing.read_bytes() == b"earlier rows\r\n"
 

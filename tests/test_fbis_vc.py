@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 from random import Random
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,13 @@ from balint import (
     solve_fbis_vc,
     verify_solution,
 )
-from helpers import build_instance, independent_pairs_ok, instances, random_instance
+from helpers import (
+    build_instance,
+    independent_pairs_ok,
+    instances,
+    random_instance,
+    random_triples,
+)
 
 
 def test_cover_empty_for_disjoint_intervals():
@@ -321,3 +328,56 @@ def test_tau_refusal_names_only_tau_and_guard():
     assert str(refused.value) == "tau = 41 exceeds 30; 2^tau enumeration refused"
     with pytest.raises(GuardError):
         solve_fbis_dp(inst, 1)
+
+
+def test_position_rule_on_tied_and_nested_endpoints():
+    # endpoints from 0..4 at most: rights coincide, intervals nest or repeat,
+    # and prev entries tie, where the walk's cleared range and its one later
+    # member are easiest to get wrong
+    rng = Random(23)
+    for seed in range(400):
+        n, k = rng.randint(1, 12), rng.randint(1, 3)
+        inst = build_instance(k, random_triples(rng, n, k, span=rng.randint(1, 4)))
+        decomp = minimum_vertex_cover(inst)
+        got = list(enumerate_swap_candidates(inst, decomp))
+        assert len(got) == len(set(got))
+        assert set(got) == _independent_cover_subsets(inst, decomp)
+        for f in (1, 2, 3):
+            _assert_matches_scan_and_dp(inst, f)
+
+
+def test_vc_builds_no_neighborhood_masks():
+    feasible = build_instance(2, [(0, 1, 1), (2, 3, 2), (1, 2, 1)])
+    infeasible = build_instance(2, [(0, 2, 1), (1, 3, 2)])
+    for inst, f in ((feasible, 1), (infeasible, 1), (feasible, 2)):
+        stats: dict = {}
+        sol = solve_fbis_vc(inst, f, stats)
+        assert (sol is not None) == stats["feasible"] == (inst is feasible and f == 1)
+        assert "masks" not in vars(inst)
+
+
+def _bridged_units(units: int, bridges: int) -> ColoredIntervalInstance:
+    """Disjoint unit intervals of alternating colors 1, 2, and bridges of
+    alternating colors, each meeting two neighboring units.  The units are
+    the greedy independent set, so tau = bridges; a bridge costs one unit of
+    each color and adds one of its own, so f = units // 2 is the largest
+    feasible f and its only witness is the units."""
+    rows = [(3 * i, 3 * i + 1, i % 2 + 1) for i in range(units)]
+    step = units // bridges
+    rows += [(3 * i + 1, 3 * i + 3, j % 2 + 1) for j, i in enumerate(range(0, units - 1, step))]
+    return build_instance(2, rows)
+
+
+def test_vc_scales_in_n_at_small_tau():
+    inst = _bridged_units(20000, 10)
+    f = 10000
+    start = perf_counter()
+    stats: dict = {}
+    sol = solve_fbis_vc(inst, f, stats)
+    assert stats["tau"] == 10
+    assert sol is not None and sol.ids == frozenset(range(20000))
+    stats = {}
+    assert solve_fbis_vc(inst, f + 1, stats) is None
+    assert stats["nodes"] > 1
+    assert perf_counter() - start < 1
+    assert "masks" not in vars(inst)
