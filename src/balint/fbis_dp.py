@@ -5,10 +5,13 @@ the set of achievable per-color cardinality vectors (components capped at f)
 packed into one int.  Vector u is bit sum_c u_c (f+1)^(k-1-c), so ascending
 bits are lexicographic order.  Level p is level p-1 OR the prev(p) level's
 vectors not yet full in p's color, shifted up one in that digit.  Feasible
-iff bit (f+1)^k - 1, the vector (f,...,f), reaches the last level.  The
-witness walk takes the interval of the first level holding the vector,
-removes its digit and searches again at or below its prev position.  The
-solver refuses (f+1)^k > VECTOR_GUARD vectors.
+iff bit (f+1)^k - 1, the vector (f,...,f), reaches the last level; levels
+only grow, so solve_fbis_dp stops at the first level P that holds it and
+reads the order through model.walk_sorted_view, which sorts no further than
+P.  The witness walk takes the interval of the first level holding the
+vector, removes its digit and searches again at or below its prev position,
+so it reads no level past P.  The solver refuses (f+1)^k > VECTOR_GUARD
+vectors.
 
 Every set bit is the histogram of an independent set, and dropping an
 interval keeps a set independent, so the reachable vectors are closed under
@@ -20,6 +23,7 @@ the feasibility test and the largest feasible f each read one diagonal bit.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterable
 
 from .model import (
     ColoredIntervalInstance,
@@ -28,6 +32,7 @@ from .model import (
     SortedView,
     greedy_independent,
     verified_solution,
+    walk_sorted_view,
 )
 
 VECTOR_GUARD = 1 << 26
@@ -51,14 +56,25 @@ def _digit_band(k: int, f: int, c: int) -> int:
 def _run_dp(view: SortedView, k: int, f: int) -> list[int]:
     """Packed levels 0..n over view: bit u of levels[p] is set iff vector u
     is the histogram of an independent set among the first p positions."""
-    steps = [(_digit_band(k, f, c), (f + 1) ** (k - 1 - c)) for c in range(k)]
+    return _levels(zip(view.colors, view.prev), k, f)
+
+
+def _levels(
+    positions: Iterable[tuple[int, int]], k: int, f: int, stop: int | None = None
+) -> list[int]:
+    """The packed levels over positions (color - 1, prev) in view order, up to
+    the first level holding bit stop when stop is given."""
+    shifts = [(_digit_band(k, f, c), (f + 1) ** (k - 1 - c)) for c in range(k)]
     levels = [1]
     current = 1
-    for c, prev in zip(view.colors, view.prev):
-        not_full, stride = steps[c]
+    for c, prev in positions:
+        not_full, stride = shifts[c]
         grown = current | (levels[prev] & not_full) << stride
         if grown != current:
             current = grown
+            if stop is not None and current >> stop & 1:
+                levels.append(current)
+                break
         levels.append(current)
     return levels
 
@@ -93,9 +109,12 @@ def solve_fbis_dp(
 ) -> SolutionSet | None:
     """Return an independent set with exactly f intervals of every color, or None.
 
-    Runs in O(n log n + n (f+1)^k / w) for word size w.  Color-deficient
-    instances are refused without running the DP.  Raises GuardError when
-    (f+1)^k > VECTOR_GUARD.
+    Runs in O(n + P log n + P (f+1)^k / w) for word size w, P being the
+    first position whose level holds (f,...,f), or n when none does (then
+    O(n log n + n (f+1)^k / w)).  Below n, the instance keeps no view; the
+    levels up to P and their last popcount are those of a run over all n.
+    Color-deficient instances are refused without running the DP.  Raises
+    GuardError when (f+1)^k > VECTOR_GUARD.
     """
     stats = {} if stats is None else stats
     if f < 1:
@@ -106,12 +125,13 @@ def solve_fbis_dp(
         return None
     k = inst.k
     target = (f + 1) ** k - 1
-    levels = _run_dp(inst.view, k, f)
+    view, positions = walk_sorted_view(inst)
+    levels = _levels(positions, k, f, target)
     feasible = bool(levels[-1] >> target & 1)
     stats.update(peak_states=levels[-1].bit_count(), feasible=feasible)
     if not feasible:
         return None
-    return verified_solution(inst, "BIS", _reconstruct(inst.view, levels, k, f, target), f)
+    return verified_solution(inst, "BIS", _reconstruct(view, levels, k, f, target), f)
 
 
 def max_colors(inst: ColoredIntervalInstance) -> int:

@@ -18,6 +18,9 @@ _Records.  So `import balint` loads neither dataclasses nor inspect.
 Every solver reads ``inst.view``, the sorted view with its prev table; the
 b-swap and BDS searches also read ``inst.masks``, the closed-neighborhood
 bitmasks.  Each is built on first use and kept as long as the instance lives.
+The vector DP alone reads the view through walk_sorted_view: unless
+``inst.view`` is built, it sorts only the prefix of the order it reads and
+keeps the view only once it has read every position.
 The masks come from the prev table, so an instance is sorted once; they take
 about n^2/8 bytes, so about 32 MB at n = 16384.
 """
@@ -28,7 +31,7 @@ from bisect import bisect_left, bisect_right
 from functools import cached_property
 from itertools import accumulate, repeat
 from operator import eq, le, or_
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 SOLUTION_KINDS = ("BIS", "MCIS", "BDS")
 
@@ -239,28 +242,70 @@ class SortedView(NamedTuple):
     colors: tuple[int, ...]
 
 
-def build_sorted_view(inst: ColoredIntervalInstance) -> SortedView:
-    """Sort intervals and compute the prev table by binary search, O(n log n).
-
-    Each interval is one integer key (((right-lo) w + left-lo) n + id) k + color-1,
-    lo being the least left endpoint and w the endpoint span: the sorted keys
-    are in (right, left, id) order and decode to every column by arithmetic.
-    A position's prev entry is the insertion point of the key (left-lo) w n k.
-    """
+def _packed_keys(inst: ColoredIntervalInstance) -> tuple[list[int], int, int]:
+    """(keys, w, nk): interval i as the key (((right-lo) w + left-lo) n + i) k + color-1,
+    lo being the least left endpoint, w the endpoint span and nk = n k.  Sorted
+    keys are in (right, left, id) order and decode to every column by
+    arithmetic; position p's prev entry counts the keys below (left-lo) w n k."""
     lo = min(inst.lefts, default=0)
     w = max(inst.rights, default=0) - lo + 1
     k = inst.k
     nk = inst.n * k
-    keys = sorted([
+    keys = [
         ((right - lo) * w + left - lo) * nk + id * k + color - 1
         for id, (left, right, color) in enumerate(zip(inst.lefts, inst.rights, inst.colors))
-    ])
-    scale = w * nk
+    ]
+    return keys, w, nk
+
+
+def build_sorted_view(inst: ColoredIntervalInstance) -> SortedView:
+    """Sort the packed keys and compute the prev table by binary search, O(n log n)."""
+    keys, w, nk = _packed_keys(inst)
+    keys.sort()
+    k, scale = inst.k, w * nk
     return SortedView(
         order=tuple([key % nk // k for key in keys]),
         prev=tuple(map(bisect_left, repeat(keys), (key // nk % w * scale for key in keys))),
         colors=tuple([key % k for key in keys]),
     )
+
+
+def walk_sorted_view(
+    inst: ColoredIntervalInstance,
+) -> tuple[SortedView, Iterator[tuple[int, int]]]:
+    """A view and an iterator of its (colors[p-1], prev[p-1]) for p = 1, 2, ...
+
+    With inst.view built, they are inst.view and its columns.  Otherwise the
+    view's lists start empty and each step appends one position: it pops the
+    least packed key from a heap, O(n) to build, and takes the prev entry as
+    the query's insertion point among the keys popped so far, which include
+    every key below the query.  Read to the end, the walk stores its view as
+    inst.view (build_sorted_view's one C sort is the faster way there).
+    """
+    if "view" in vars(inst):
+        view = inst.view
+        return view, zip(view.colors, view.prev)
+    walked = SortedView([], [], [])
+    return walked, _pop_positions(inst, walked)
+
+
+def _pop_positions(inst: ColoredIntervalInstance, walked: SortedView) -> Iterator[tuple[int, int]]:
+    from heapq import heapify, heappop  # here: at module level it adds to every `import balint`
+
+    keys, w, nk = _packed_keys(inst)
+    heapify(keys)
+    k, scale = inst.k, w * nk
+    popped: list[int] = []
+    order, prev, colors = walked
+    while keys:
+        key = heappop(keys)
+        popped.append(key)
+        color, before = key % k, bisect_left(popped, key // nk % w * scale)
+        order.append(key % nk // k)
+        prev.append(before)
+        colors.append(color)
+        yield color, before
+    vars(inst)["view"] = SortedView(*map(tuple, walked))
 
 
 def greedy_independent(view: SortedView) -> list[int]:

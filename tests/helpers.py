@@ -65,13 +65,15 @@ def random_instance(rng: Random, n: int, k: int) -> ColoredIntervalInstance:
 
 
 @st.composite
-def instances(draw, max_n: int = 24, max_k: int = 4, span: int = 50):
+def instances(draw, max_n: int = 24, max_k: int = 4, span: int = 50, lo: int = 0):
+    """Instances of up to max_n intervals and 1..max_k colors with endpoints
+    in lo..span; a narrow range draws ties, nesting and repeats."""
     n = draw(st.integers(min_value=0, max_value=max_n))
     k = draw(st.integers(min_value=1, max_value=max_k))
     triples = []
     for _ in range(n):
-        a = draw(st.integers(min_value=0, max_value=span))
-        b = draw(st.integers(min_value=0, max_value=span))
+        a = draw(st.integers(min_value=lo, max_value=span))
+        b = draw(st.integers(min_value=lo, max_value=span))
         c = draw(st.integers(min_value=1, max_value=k))
         triples.append((min(a, b), max(a, b), c))
     return build_instance(k, triples)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import hashlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from balint import (
     ColoredIntervalInstance,
@@ -147,6 +147,48 @@ def test_dp_witness_ids_are_pinned(spec: GenSpec, f: int, ids: list[int]):
     # first-appearance walk over packed levels must give the same witness
     sol = solve_fbis_dp(generate(spec), f)
     assert sol is not None and sorted(sol.ids) == ids
+
+
+def full_run_answer(inst: ColoredIntervalInstance, f: int):
+    """(sorted ids or None, feasible, peak_states) read from every level of
+    the DP over build_sorted_view, as if the solver never stopped early."""
+    if inst.is_color_deficient():
+        return None, False, 0
+    view = build_sorted_view(inst)
+    target = (f + 1) ** inst.k - 1
+    levels = _run_dp(view, inst.k, f)
+    feasible = bool(levels[-1] >> target & 1)
+    ids = sorted(_reconstruct(view, levels, inst.k, f, target)) if feasible else None
+    return ids, feasible, levels[-1].bit_count()
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=instances(max_n=14, max_k=3, span=6, lo=-6))
+@example(inst=build_instance(0, []))
+@example(inst=build_instance(2, [(-3, 4, 2), (-3, 4, 1), (-1, 2, 2), (-1, 2, 1), (-5, -3, 1)]))
+def test_dp_stopping_early_answers_as_the_full_run(inst: ColoredIntervalInstance):
+    for f in (1, 2, 3):
+        for warm in (False, True):
+            copy = ColoredIntervalInstance.from_columns(
+                inst.k, inst.lefts, inst.rights, inst.colors
+            )
+            if warm:
+                copy.view  # the walk then reads the built view
+            stats = {}
+            sol = solve_fbis_dp(copy, f, stats)
+            got = None if sol is None else sorted(sol.ids), stats["feasible"], stats["peak_states"]
+            assert got == full_run_answer(inst, f), (f, warm)
+
+
+def test_dp_sorts_only_the_prefix_it_reads():
+    # (2,2,2,2) is reachable within the first hundred of 16384 positions
+    inst = generate(GenSpec(n=16384, k=4, seed=1))
+    assert solve_fbis_dp(inst, 2) is not None
+    assert "view" not in vars(inst)
+    # the largest feasible f is 36: a "no" walks every position and keeps the view
+    inst = generate(GenSpec(n=16384, k=4, seed=1))
+    assert solve_fbis_dp(inst, 37) is None
+    assert vars(inst)["view"] == build_sorted_view(inst)
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from itertools import islice
 from random import Random
 
 import pytest
@@ -26,7 +27,7 @@ from balint import (
     solution_from_ids,
     verify_solution,
 )
-from balint.model import edge_count
+from balint.model import edge_count, walk_sorted_view
 from helpers import (
     brute_intersects,
     build_instance,
@@ -160,6 +161,27 @@ def test_sorted_view_matches_tuple_sort(inst: ColoredIntervalInstance):
     assert view.order == tuple(iv.id for iv in ranked)
     assert view.prev == tuple(sum(1 for r in ranked if r.right < iv.left) for iv in ranked)
     assert view.colors == tuple(inst.interval(id).color - 1 for id in view.order)
+
+
+@settings(max_examples=300)
+@given(inst=crowded_instances(), part=st.integers(0, 16))
+@example(inst=build_instance(0, []), part=0)
+def test_walk_is_the_sorted_view_read_in_order(inst: ColoredIntervalInstance, part: int):
+    want = build_sorted_view(inst)
+    steps = list(zip(want.colors, want.prev))
+    # read in part: the lists hold that prefix and no view is kept
+    part = min(part, inst.n)
+    copy = ColoredIntervalInstance.from_columns(inst.k, inst.lefts, inst.rights, inst.colors)
+    view, positions = walk_sorted_view(copy)
+    assert list(islice(positions, part)) == steps[:part]
+    assert view == tuple(list(column[:part]) for column in want)
+    assert "view" not in vars(copy)
+    # read to the end: the walk keeps its view, which a second walk reads
+    view, positions = walk_sorted_view(inst)
+    assert list(positions) == steps
+    assert vars(inst)["view"] == want
+    again, positions = walk_sorted_view(inst)
+    assert again is inst.view and list(positions) == steps
 
 
 def _quadratic_prev(inst: ColoredIntervalInstance, order):
