@@ -6,7 +6,7 @@ intervals per color, and returns the first selection whose closed
 neighborhoods cover every vertex.  Classes are visited smallest first and a
 partial selection is abandoned once even the union of all remaining classes'
 neighborhoods cannot cover the rest (a sound prune).  The guard refuses when
-the combination count exceeds COMBINATION_GUARD.
+the combination count exceeds COMBINATION_GUARD (printed as 2^m+ when long).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .model import (
     ColoredIntervalInstance,
     GuardError,
     SolutionSet,
+    quantity_text,
     verified_solution,
 )
 
@@ -51,14 +52,16 @@ def solve_fbds_brute(
     stats = {} if stats is None else stats
     if f < 1:
         raise ValueError("f must be >= 1")
-    classes = sorted(inst.color_class_ids(), key=lambda ids: (len(ids), ids))
+    classes = [[]] if inst.k > inst.n else sorted(  # k > n leaves a class empty: C(0, f) = 0
+        inst.color_class_ids(), key=lambda ids: (len(ids), ids)
+    )
     total, bound = 1, 0
     for ids in classes:
         total *= comb(len(ids), f)
         if total > COMBINATION_GUARD:
             raise GuardError(
-                f"{total}+ balanced combinations exceeds {COMBINATION_GUARD}; "
-                "instance too large for exact BDS"
+                f"{quantity_text(total, 1, f'2^{total.bit_length() - 1}')}+ balanced "
+                f"combinations exceeds {COMBINATION_GUARD}; instance too large for exact BDS"
             )
         bound += total
     stats.update(combinations_bound=bound, combinations_tried=0, feasible=False)

@@ -10,8 +10,8 @@ only grow, so solve_fbis_dp stops at the first level P that holds it and
 reads the order through model.walk_sorted_view, which sorts no further than
 P.  The witness walk takes the interval of the first level holding the
 vector, removes its digit and searches again at or below its prev position,
-so it reads no level past P.  The solver refuses (f+1)^k > VECTOR_GUARD
-vectors.
+so it reads no level past P.  model.guard_power refuses (f+1)^k >
+VECTOR_GUARD vectors without building a power provably over it.
 
 Every set bit is the histogram of an independent set, and dropping an
 interval keeps a set independent, so the reachable vectors are closed under
@@ -27,10 +27,10 @@ from collections.abc import Iterable
 
 from .model import (
     ColoredIntervalInstance,
-    GuardError,
     SolutionSet,
     SortedView,
     greedy_independent,
+    guard_power,
     verified_solution,
     walk_sorted_view,
 )
@@ -97,11 +97,10 @@ def _reconstruct(
 
 
 def _check_params(k: int, f: int) -> None:
-    if (f + 1) ** k > VECTOR_GUARD:
-        raise GuardError(
-            f"(f+1)^k = {(f + 1) ** k} vectors exceeds {VECTOR_GUARD}; "
-            "parameter too large for the vector DP"
-        )
+    guard_power(
+        f + 1, k, VECTOR_GUARD,
+        f"(f+1)^k = {{}} vectors exceeds {VECTOR_GUARD}; parameter too large for the vector DP",
+    )
 
 
 def solve_fbis_dp(
@@ -170,10 +169,10 @@ def max_f_with_witness(
     witness is reconstructed from that vector.
     """
     stats = {} if stats is None else stats
-    if inst.k == 0:
-        return 0, None
     k = inst.k
-    cap = min(min(map(len, inst.color_class_ids())), len(greedy_independent(inst.view)) // k)
+    cap = 0 if k == 0 or k > inst.n else min(  # k > n leaves a class empty
+        min(map(len, inst.color_class_ids())), len(greedy_independent(inst.view)) // k
+    )
     if cap == 0:
         stats.update(peak_states=0, max_f=0)
         return 0, None

@@ -3,28 +3,24 @@
 greedy_mcis scans by right endpoint and keeps an interval when its color slot
 is still free and it clears the frontier of the last kept interval; it always
 reaches at least half the optimum color count.  local_search_mcis refines the
-greedy set with first-improvement b-swaps; oracle.is_b_locally_optimal is the
-naive re-check used by the tests.
+greedy set with first-improvement b-swaps; model.guard_power refuses n^(2b)
+past its budget.  oracle.is_b_locally_optimal is the tests' naive re-check.
 """
 
 from __future__ import annotations
 
-from contextlib import suppress
 from itertools import combinations
 from typing import NamedTuple
 
 from .model import (
     ColoredIntervalInstance,
-    GuardError,
     SolutionSet,
     SortedView,
+    guard_power,
     verified_solution,
 )
 
 NEIGHBOR_BUDGET = 10**9
-# A refused n^(2b) of at most about this many bits is printed in full (it has
-# under twice as many); larger ones print as n^2b.
-_EXACT_WORK_BITS = 1 << 14
 
 
 class LocalSearchConfig(NamedTuple):
@@ -54,17 +50,7 @@ def _greedy_ids(view: SortedView) -> list[int]:
 def _guard_budget(n: int, b: int, budget: int) -> None:
     if b < 1:
         raise ValueError("b must be >= 1")
-    exponent = 2 * b
-    # n >= 2^(bits(n)-1), so n^(2b) > budget once 2b(bits(n)-1) reaches the
-    # budget's bit length; short of that, n^(2b) has under twice its bits.
-    provably_over = n > 1 and exponent * (n.bit_length() - 1) >= budget.bit_length()
-    if not provably_over and n ** exponent <= budget:
-        return
-    work = f"{n}^{exponent}"
-    if exponent * (n.bit_length() - 1) <= _EXACT_WORK_BITS:
-        with suppress(ValueError):  # past the interpreter's int-to-str digit limit
-            work = str(n ** exponent)
-    raise GuardError(f"n^(2b) = {work} neighbor evaluations exceeds budget {budget}")
+    guard_power(n, 2 * b, budget, f"n^(2b) = {{}} neighbor evaluations exceeds budget {budget}")
 
 
 def _improving_neighbor(
@@ -85,10 +71,8 @@ def _improving_neighbor(
     colors, masks = inst.colors, inst.masks
     members = sorted(current)
     outside = [id for id in range(inst.n) if id not in current]
-    for removals in range(min(b, len(members)) + 1):
+    for removals in range(min(b - 1, len(members)) + 1):
         need = removals + 1
-        if need > b:
-            break
         for removed in combinations(members, removals):
             base = [id for id in members if id not in removed]
             base_mask = 0
@@ -131,8 +115,7 @@ def local_search_mcis(
     stats = {} if stats is None else stats
     _guard_budget(inst.n, cfg.b, cfg.neighbor_budget)
     current = frozenset(_greedy_ids(inst.view))
-    rounds = 0
-    counter = [0]
+    rounds, counter = 0, [0]
     while len(current) < inst.k:
         nxt = _improving_neighbor(inst, current, cfg.b, counter)
         if nxt is None:

@@ -22,12 +22,13 @@ The vector DP alone reads the view through walk_sorted_view: unless
 ``inst.view`` is built, it sorts only the prefix of the order it reads and
 keeps the view only once it has read every position.
 The masks come from the prev table, so an instance is sorted once; they take
-about n^2/8 bytes, so about 32 MB at n = 16384.
+about n^2/8 bytes (32 MB at n = 16384).  Guards share guard_power's rule.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from contextlib import suppress
 from functools import cached_property
 from itertools import accumulate, repeat
 from operator import eq, le, or_
@@ -48,6 +49,24 @@ class FormatError(ValueError):
 
 class GuardError(RuntimeError):
     """A solver or oracle refused to run: parameters exceed its search budget."""
+
+
+def quantity_text(base: int, exponent: int, short: str) -> str:
+    """base^exponent in full when exponent (bits(base)-1), a floor of its bit
+    count, is <= 2^14 and the int-to-str digit limit allows; else short."""
+    if exponent * (base.bit_length() - 1) <= 1 << 14:
+        with suppress(ValueError):  # past the digit limit
+            return str(base**exponent)
+    return short
+
+
+def guard_power(base: int, exponent: int, budget: int, message: str) -> None:
+    """Raise GuardError(message.format(q)) iff q = base^exponent > budget.  As
+    q >= 2^log2, q is over, and is not built, once log2 reaches bits(budget)."""
+    log2 = exponent * (base.bit_length() - 1)
+    if (base < 2 or log2 < budget.bit_length()) and base**exponent <= budget:
+        return
+    raise GuardError(message.format(quantity_text(base, exponent, f"{base}^{exponent}")))
 
 
 class VerificationError(RuntimeError):
@@ -153,14 +172,10 @@ class ColoredIntervalInstance(_Record):
             classes[color - 1].append(id)
         return classes
 
-    def missing_colors(self) -> tuple[int, ...]:
-        present = set(self.colors)
-        return tuple(c for c in range(1, self.k + 1) if c not in present)
-
     def is_color_deficient(self) -> bool:
-        """True iff some color in 1..k labels no interval.  Legal input; every
-        f >= 1 balanced problem on such an instance is infeasible."""
-        return bool(self.missing_colors())
+        """True iff some color in 1..k labels no interval, in O(n) whatever k.
+        Legal input; every f >= 1 balanced problem on it is infeasible."""
+        return len(set(self.colors)) < self.k
 
 
 def _store_columns(inst, k, ids, lefts, rights, colors, proper_flag) -> None:

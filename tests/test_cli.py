@@ -327,6 +327,26 @@ def test_optimum_guard_refusal_leaves_out_file_alone(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "suite_args, power",
+    [
+        (["--suite", "dp-scaling", "--sizes", "8", "--k", "30000", "--reps", "1"], "3^30000"),
+        (["--suite", "quality", "--count", "1", "--n", "8", "--k", "30000", "--reps", "1"], "2^30000"),
+    ],
+    ids=["dp-scaling", "quality"],
+)
+def test_bench_refuses_a_power_past_the_digit_limit(tmp_path, capsys, suite_args, power):
+    # (f+1)^k has over 4300 digits: the vector guard prints it as a power
+    start = perf_counter()
+    _assert_refusal_leaves_out_alone(
+        tmp_path,
+        capsys,
+        suite_args,
+        f"error: (f+1)^k = {power} {VECTOR_REFUSAL}\n",
+    )
+    assert perf_counter() - start < 1
+
+
 def test_bench_without_rows_writes_the_header_alone(tmp_path, capsys):
     out_csv = tmp_path / "rows.csv"
     code, _, _ = run(
@@ -478,6 +498,71 @@ def test_huge_swap_radius_is_refused_quickly(inst_file, capsys):
     assert perf_counter() - start < 1
     assert code == 1
     assert err == "error: n^(2b) = 3^2000000000 neighbor evaluations exceeds budget 1000000000\n"
+
+
+def _instance_file(tmp_path: Path, k: int, rows) -> str:
+    path = tmp_path / "inst.txt"
+    lines = [f"n={len(rows)} k={k}"]
+    lines += (f"{id} {left} {right} {color}" for id, (left, right, color) in enumerate(rows))
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+VECTOR_REFUSAL = "vectors exceeds 67108864; parameter too large for the vector DP"
+
+
+@pytest.mark.parametrize(
+    "k, rows, argv, error",
+    [
+        (30000, [(0, 1, 1), (2, 3, 2)], ["bis"], f"(f+1)^k = 2^30000 {VECTOR_REFUSAL}"),
+        # under 2^14 bits by the floor, yet past the digit limit
+        (10000, [(0, 1, 1), (2, 3, 2)], ["bis", "--f", "2"], f"(f+1)^k = 3^10000 {VECTOR_REFUSAL}"),
+        (
+            100000,
+            [(0, 1, 1)],
+            ["bis", "--f", "1000000000"],
+            f"(f+1)^k = 1000000001^100000 {VECTOR_REFUSAL}",
+        ),
+        (
+            1,
+            [(2 * i, 2 * i, 1) for i in range(20000)],
+            ["bds", "--f", "10000"],
+            "2^19992+ balanced combinations exceeds 100000000; instance too large for exact BDS",
+        ),
+    ],
+    ids=["bis-k30000", "bis-k10000-f2", "bis-f1e9", "bds-f10000"],
+)
+def test_guard_refuses_a_quantity_past_the_digit_limit(tmp_path, capsys, k, rows, argv, error):
+    # the refused quantity has over 4300 digits, so it prints as a power of
+    # its base (BDS: the largest power of two at or below the product)
+    path = _instance_file(tmp_path, k, rows)
+    start = perf_counter()
+    result = run(["solve", *argv, path], capsys)
+    assert perf_counter() - start < 1
+    assert result == (1, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["bis"], (1, "", f"error: (f+1)^k = 2^1000000 {VECTOR_REFUSAL}\n")),
+        (["bis", "--method", "vc"], (2, "", "infeasible: no 1-balanced independent set\n")),
+        (["bis", "--maximize"], (0, "max f = 0\n", "")),
+        (["bds"], (2, "", "infeasible: no 1-balanced dominating set\n")),
+        (["mcis"], (0, "kind=MCIS f=1\n0\n", "")),
+        (["mcis", "--method", "local"], (0, "kind=MCIS f=1\n0\n", "")),
+    ],
+    ids=["bis-dp", "bis-vc", "bis-maximize", "bds", "mcis-greedy", "mcis-local"],
+)
+def test_every_solve_path_answers_a_million_colors_quickly(tmp_path, capsys, argv, expected):
+    # one interval under k = 10^6: the balanced solvers see the unused colors
+    # before any work that grows with k, and the vector guard never builds
+    # 2^k; the MCIS paths still build k-entry color histograms
+    path = _instance_file(tmp_path, 10**6, [(0, 1, 1)])
+    start = perf_counter()
+    result = run(["solve", *argv, path], capsys)
+    assert perf_counter() - start < 1
+    assert result == expected
 
 
 def test_failed_verification_exits_one(inst_file, capsys, monkeypatch):

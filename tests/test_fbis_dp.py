@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import hashlib
+import re
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from balint import (
     ColoredIntervalInstance,
@@ -18,7 +19,7 @@ from balint import (
     solve_fbis_dp,
     verify_solution,
 )
-from balint.fbis_dp import _reconstruct, _run_dp
+from balint.fbis_dp import VECTOR_GUARD, _check_params, _reconstruct, _run_dp
 from helpers import build_instance, independent_pairs_ok, instances
 
 
@@ -69,6 +70,17 @@ def test_dp_vector_guard():
     inst = build_instance(4, [(3 * c, 3 * c + 1, c + 1) for c in range(4)])
     with pytest.raises(GuardError):
         solve_fbis_dp(inst, 100)
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(0, 64), f=st.integers(1, 8) | st.integers(1, 10**4))
+def test_vector_guard_refuses_iff_power_exceeds_budget(k, f):
+    if (f + 1) ** k > VECTOR_GUARD:
+        # a power this small is printed in full
+        with pytest.raises(GuardError, match=re.escape(f"(f+1)^k = {(f + 1) ** k} vectors")):
+            _check_params(k, f)
+    else:
+        _check_params(k, f)
 
 
 def test_dp_stats_report_peak_and_feasibility():

@@ -58,7 +58,7 @@ def test_proper_unit_intervals_are_unit_and_proper():
 def test_empty_instance_generation():
     inst = generate(GenSpec(n=0, k=2, seed=0, model="uniform-random"))
     assert inst.n == 0
-    assert inst.missing_colors() == (1, 2)
+    assert inst.color_class_ids() == [[], []]
 
 
 def test_adversarial_block_layout_and_color_override():

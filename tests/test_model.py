@@ -111,7 +111,7 @@ def test_proper_flag_allows_identical_intervals():
 def test_color_classes_and_deficiency():
     inst = build_instance(3, [(0, 1, 1), (2, 3, 1), (5, 6, 3)])
     assert inst.color_class_ids() == [[0, 1], [], [2]]
-    assert inst.missing_colors() == (2,)
+    assert [c for c, ids in enumerate(inst.color_class_ids(), 1) if not ids] == [2]
     assert inst.is_color_deficient()
     assert not build_instance(1, [(0, 1, 1)]).is_color_deficient()
 
